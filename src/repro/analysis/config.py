@@ -122,6 +122,9 @@ class LintConfig:
         default_factory=lambda: list(DEFAULT_WALLCLOCK))
     hot_functions: List[str] = field(
         default_factory=lambda: list(DEFAULT_HOT_FUNCTIONS))
+    #: True when ``hot_functions`` came from pyproject rather than the
+    #: built-in default roster (only a declared roster can go stale).
+    hot_functions_declared: bool = False
     telemetry_attrs: List[str] = field(
         default_factory=lambda: list(DEFAULT_TELEMETRY_ATTRS))
     taint_sources: List[str] = field(
@@ -218,6 +221,7 @@ def load_config(root: Path) -> LintConfig:
     if isinstance(hotpath, dict):
         if strings(hotpath.get("functions")) is not None:
             config.hot_functions = strings(hotpath["functions"])
+            config.hot_functions_declared = True
         if strings(hotpath.get("telemetry-attrs")) is not None:
             config.telemetry_attrs = strings(hotpath["telemetry-attrs"])
 

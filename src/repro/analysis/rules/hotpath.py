@@ -22,6 +22,10 @@ encoder/decoder/cache/region/simulator hot path — the ones the
   ... — :data:`repro.metrics.spans.SPAN_CREATION_METHODS`) must not
   sit inside an inner loop: one span per packet is the contract, a
   span per byte/region would dominate the run being measured.
+
+A roster entry that names no function in the tree is itself a finding
+(``hotpath-unresolved``): a renamed or deleted function would
+otherwise drop out of these checks without a word.
 """
 
 from __future__ import annotations
@@ -259,4 +263,35 @@ def check_hotpath(parsed: ParsedFile, config: LintConfig,
         for statement in fn_node.body:
             scan.visit(statement, guards=set(), loops=0, raising=False)
         findings.extend(scan.findings)
+    return findings
+
+
+@rule("hotpath-unresolved", scope="project")
+def check_hotpath_roster(files: List[ParsedFile], config: LintConfig,
+                         project: ProjectModel) -> List[Finding]:
+    """Every declared hot-path roster entry names a function.
+
+    Reported against ``pyproject.toml`` at the entry's line.  The
+    built-in default roster (no ``[tool.repro-lint.hotpath]`` table) is
+    not checked: only a declared roster can go stale.
+    """
+    if not config.hot_functions_declared:
+        return []
+    missing = [name for name in config.hot_functions
+               if name not in project.functions]
+    if not missing:
+        return []
+    lines = (config.root / "pyproject.toml").read_text(
+        encoding="utf-8").splitlines()
+    findings: List[Finding] = []
+    for name in missing:
+        quoted = f'"{name}"'
+        line = next((number for number, text in enumerate(lines, 1)
+                     if quoted in text), 1)
+        findings.append(Finding(
+            rule="hotpath-unresolved", path="pyproject.toml", line=line,
+            message=f"hot-path roster entry {name} names no function in "
+                    "the tree; its discipline checks silently stopped",
+            fix="point the entry at the function's new dotted name, or "
+                "delete it from [tool.repro-lint.hotpath] functions"))
     return findings

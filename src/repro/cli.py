@@ -32,8 +32,8 @@ spans      print one causal chain end-to-end from a spans/v1 export
 bench      benchmark utilities; `bench diff` is the regression
            sentinel over committed BENCH_*.json history
 serve-sim  population serving simulation: Zipf catalog + Poisson
-           sessions as concurrent flows through one shared sharded
-           byte cache, reporting warm-up-excluded steady-state hit
+           sessions as concurrent flows through one shared byte
+           cache per direction, reporting warm-up-excluded steady-state hit
            ratio / bytes saved / p50-p99 download times
 """
 
@@ -358,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve_cmd = sub.add_parser(
         "serve-sim", help="population serving simulation over a shared "
-                          "sharded byte cache")
+                          "byte cache")
     serve_cmd.add_argument("--users", type=int, default=50,
                            help="subscriber population size")
     serve_cmd.add_argument("--contents", type=int, default=200,
@@ -369,8 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="mean object size in bytes")
     serve_cmd.add_argument("--cache-mb", type=float, default=4.0,
                            help="shared cache budget per direction (MB)")
-    serve_cmd.add_argument("--shards", type=int, default=8,
-                           help="cache shard count (0 = unsharded)")
     serve_cmd.add_argument("--admission", type=float, default=1.0,
                            help="probabilistic admission fraction (0,1]")
     serve_cmd.add_argument("--policy", default="cache_flush",
@@ -386,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--seed", type=int, default=7)
     serve_cmd.add_argument("--verify", action="store_true",
                            help="arm per-flow content checks and the "
-                                "sharded-cache invariant oracle")
+                                "cache invariant oracle")
     serve_cmd.add_argument("--json", action="store_true",
                            help="print the full serving/v1 report")
     serve_cmd.add_argument("--out", default=None, metavar="REPORT.json",
@@ -955,7 +953,7 @@ def cmd_serve_sim(args) -> int:
         users=args.users, n_contents=args.contents, alpha=args.alpha,
         mean_object_bytes=args.mean_object,
         cache_bytes=int(args.cache_mb * 1024 * 1024),
-        cache_shards=args.shards, cache_admission=args.admission,
+        cache_admission=args.admission,
         policy=args.policy, loss_rate=_percent(args.loss),
         arrival_rate=args.arrival_rate,
         requests_per_user=args.requests_per_user,
@@ -990,21 +988,17 @@ def cmd_serve_sim(args) -> int:
         ["steady p99 download", _secs(steady["p99_download_s"])],
         ["cache bytes used / budget",
          f"{cache.get('bytes_used', 0):,} / {cache.get('byte_budget', 0):,}"],
-        ["cache evictions", cache.get("evictions", 0)],
+        ["cache evictions / flushes",
+         f"{cache.get('evictions', 0)} / {cache.get('flushes', 0)}"],
         ["pool high-water / released",
          f"{pool['high_water']} / {pool['released']}"],
         ["simulated time", f"{report['sim_time']:.1f}s"],
     ]
-    if "shards" in cache:
-        occupied = [s for s in cache["shards"] if s["payloads"]]
-        rows.append(["shards occupied",
-                     f"{len(occupied)} / {len(cache['shards'])}"])
     if "oracle_checks" in report:
         rows.append(["oracle checks (all passed)", report["oracle_checks"]])
     print(format_table(
         f"serve-sim: {args.users} users x {args.contents} contents, "
-        f"alpha={args.alpha}, cache={args.cache_mb:g}MB/"
-        f"{args.shards} shards",
+        f"alpha={args.alpha}, cache={args.cache_mb:g}MB",
         ["metric", "value"], rows))
     return 0
 

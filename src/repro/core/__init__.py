@@ -8,7 +8,6 @@ from .fingerprint import (DEFAULT_WINDOW, DEFAULT_ZERO_BITS, FingerprintScheme,
 from .polyhash import AnchorSet, PolyFingerprinter
 from .rabin import RabinFingerprinter
 from .region import Region, expand_match
-from .shardcache import CacheShard, ShardedByteCache, ShardEntry, shard_of
 from .wire import (FIELD_SIZE, MIN_REGION_LENGTH, MissingFingerprintError,
                    WireFormatError, encode_payload, encoded_size, parse_payload,
                    reconstruct, wrap_raw)
@@ -34,10 +33,6 @@ __all__ = [
     "RabinFingerprinter",
     "Region",
     "expand_match",
-    "CacheShard",
-    "ShardedByteCache",
-    "ShardEntry",
-    "shard_of",
     "FIELD_SIZE",
     "MIN_REGION_LENGTH",
     "MissingFingerprintError",

@@ -12,13 +12,18 @@ Two cooperating structures, as in Spring & Wetherall:
 
 Entries whose packet has been evicted from the store are invalidated
 lazily on lookup.
+
+:class:`ByteCache` combines the two and is the one cache every gateway
+holds, whether it carries a single transfer or a whole population's
+overlapping flows (the serving mode shares one per direction).
 """
 
 from __future__ import annotations
 
 import itertools
+import zlib
 from collections import OrderedDict
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -221,18 +226,30 @@ class ByteCache:
     ``table_kind`` selects the fingerprint-table implementation:
     ``"ring"`` (the default) is the batched numpy ring buffer of
     :mod:`repro.core.ringtable`; ``"dict"`` is the per-entry dict of
-    :class:`FingerprintTable`, kept as the reference implementation
-    (the property tests and the differential runner hold the two to
-    byte-identical encoder output).
+    :class:`FingerprintTable`, kept only as the ring table's reference
+    oracle (the property tests and the differential runner hold the two
+    to byte-identical encoder output); no production path selects it.
+
+    ``admission < 1.0`` arms a content-keyed admission coin that skips
+    caching a payload entirely.  It is keyed on a CRC of the payload
+    bytes, never on call order, so an encoder and decoder make
+    identical decisions regardless of loss or reordering between them.
     """
 
     def __init__(self, byte_budget: int = 4 * 1024 * 1024,
                  max_packets: Optional[int] = None,
                  eviction: str = "fifo",
-                 table_kind: str = "ring") -> None:
+                 table_kind: str = "ring",
+                 admission: float = 1.0) -> None:
         if table_kind not in ("ring", "dict"):
             raise ValueError(f"unknown table_kind: {table_kind!r}")
+        if not 0.0 < admission <= 1.0:
+            raise ValueError(f"admission must be in (0, 1], got {admission}")
         self.store = PacketStore(byte_budget, max_packets, eviction)
+        self.admission = admission
+        self._admission_threshold = int(admission * 0xFFFFFFFF)
+        #: Payloads the admission coin declined to cache.
+        self.admission_rejected = 0
         self.table_kind = table_kind
         self._ring: Optional[RingFingerprintTable] = (
             RingFingerprintTable() if table_kind == "ring" else None)
@@ -263,8 +280,13 @@ class ByteCache:
 
         This is the Cache Update Procedure of Fig. 2 / Fig. 7: each
         selected fingerprint's table entry is replaced to reference the
-        new packet.
+        new packet.  Returns the payload's store id, or ``0`` when the
+        admission coin declined the payload.
         """
+        if (self.admission < 1.0
+                and zlib.crc32(payload) > self._admission_threshold):
+            self.admission_rejected += 1
+            return 0
         store_id = self.store.add(payload)
         if external_id is not None:
             self._external_ids[store_id] = external_id
@@ -442,6 +464,24 @@ class ByteCache:
         if not 0.0 <= fraction <= 1.0:
             raise ValueError(f"fraction must be in [0, 1], got {fraction}")
         return self.store.evict_oldest(int(len(self.store) * fraction))
+
+    def check_invariants(self) -> List[str]:
+        """Machine-checked budget and accounting; returns violations.
+
+        The serving oracle calls this during a run: the store holds no
+        more bytes than its budget, and its running byte count equals
+        the summed length of the payloads it actually holds.
+        """
+        store = self.store
+        problems: List[str] = []
+        if store.bytes_used > store.byte_budget:
+            problems.append(f"{store.bytes_used} bytes exceeds budget "
+                            f"{store.byte_budget}")
+        actual = sum(len(payload) for payload in store._data.values())
+        if actual != store.bytes_used:
+            problems.append(f"accounted {store.bytes_used} bytes but "
+                            f"stores {actual}")
+        return problems
 
     def _prune_external_ids(self) -> None:
         live = set(self.store.ids())

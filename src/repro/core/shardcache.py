@@ -1,445 +1,14 @@
-"""Sharded, memory-bounded byte cache for population serving.
+"""A name-only alias of :class:`~repro.core.cache.ByteCache`.
 
-A single :class:`~repro.core.cache.ByteCache` serves one transfer well,
-but a gateway in front of thousands of subscribers holds *one* cache
-for all of them, and a single dict + FIFO store becomes both a memory
-liability and (eventually) a contention point.  This module shards the
-cache by fingerprint:
-
-* **Fingerprint routing** — every fingerprint is owned by exactly one
-  of ``n_shards`` shards (``shard_of``: a Fibonacci-mixed hash of the
-  fingerprint, deliberately *not* the low bits, which anchor selection
-  zeroes out).
-* **Payload homes** — a cached payload lives in exactly one shard's
-  :class:`~repro.core.cache.PacketStore` (its *home*, the shard of its
-  first anchor); table entries in other shards reference it by a
-  globally unique store id plus the home shard index.  Cross-shard
-  entries left dangling by the home's eviction are invalidated lazily
-  on lookup, exactly like the unsharded cache's dangling entries.
-* **Per-shard byte budgets** — the total budget splits evenly across
-  shards, each enforcing its own bound (LRU by default here: a shared
-  cache keeps hot content alive instead of sliding a window).
-* **Probabilistic admission** — an optional content-keyed coin
-  (``admission < 1.0``) that skips caching a payload entirely.  Keyed
-  on a CRC of the payload bytes, never on call order, so an encoder
-  and decoder make identical decisions regardless of loss/reordering
-  between them.
-
-In the no-eviction regime the sharded cache is observationally
-equivalent to one big :class:`ByteCache` (the property tests hold
-``insert_packet``/``lookup``/``lookup_previous``/``mark_unusable`` to
-parity against that oracle for arbitrary interleavings); under memory
-pressure the per-shard budgets differ from the global FIFO only in
-*which* payloads are evicted, never in safety — a dangling reference is
-a decode miss, the same failure TCP already repairs.
+Nothing in the package instantiates it; the benchmark harness's tracer
+still names this class among its timed targets.
 """
 
 from __future__ import annotations
 
-import zlib
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from .cache import ByteCache
 
-from .cache import CacheEntry, FingerprintTable, PacketStore, TableEntry
 
-#: Fibonacci multiplier (2^64 / phi) used to mix fingerprints before
-#: shard routing — anchor selection zeroes the low ``zero_bits`` of
-#: every selected fingerprint, so raw ``fp % n`` would collapse small
-#: shard counts onto shard 0.
-_MIX = 0x9E3779B97F4A7C15
-_MASK64 = (1 << 64) - 1
-
-
-def shard_of(fingerprint: int, n_shards: int) -> int:
-    """Owning shard index of a fingerprint (deterministic)."""
-    return (((fingerprint * _MIX) & _MASK64) >> 17) % n_shards
-
-
-class ShardEntry(CacheEntry):
-    """A :class:`CacheEntry` that also records its payload's home shard.
-
-    Carrying the home index inside the entry keeps lookup a two-dict
-    walk (table shard -> home store) with no auxiliary owner map.
-    """
-
-    __slots__ = ("home",)
-
-    def __init__(self, fingerprint: int, store_id: int, offset: int,
-                 home: int,
-                 tcp_seq: Optional[int] = None,
-                 flow: Optional[tuple] = None,
-                 packet_counter: int = 0,
-                 usable: bool = True) -> None:
-        super().__init__(fingerprint, store_id, offset, tcp_seq, flow,
-                         packet_counter, usable)
-        self.home = home
-
-
-class CacheShard:
-    """One shard: a byte-budgeted payload store plus a fingerprint table."""
-
-    __slots__ = ("index", "store", "table", "previous")
-
-    def __init__(self, index: int, byte_budget: int,
-                 max_packets: Optional[int], eviction: str) -> None:
-        self.index = index
-        self.store = PacketStore(byte_budget, max_packets, eviction)
-        self.table = FingerprintTable()
-        # One generation of displaced entries, as in ByteCache.
-        self.previous: Dict[int, ShardEntry] = {}
-
-
-class _ShardedStoreView:
-    """Aggregate, read-only ``store`` facade over all shards.
-
-    Presents the attribute surface telemetry and the verify oracles
-    read from ``ByteCache.store``: ``len``, ``bytes_used``,
-    ``evictions`` and the side-effect-free ``_data.get``.
-    """
-
-    __slots__ = ("_shards",)
-
-    def __init__(self, shards: List[CacheShard]) -> None:
-        self._shards = shards
-
-    def __len__(self) -> int:
-        return sum(len(shard.store) for shard in self._shards)
-
-    @property
-    def bytes_used(self) -> int:
-        return sum(shard.store.bytes_used for shard in self._shards)
-
-    @property
-    def evictions(self) -> int:
-        return sum(shard.store.evictions for shard in self._shards)
-
-    @property
-    def byte_budget(self) -> int:
-        return sum(shard.store.byte_budget for shard in self._shards)
-
-    @property
-    def _data(self) -> "_MergedPayloads":
-        return _MergedPayloads(self._shards)
-
-    def ids(self) -> Iterator[int]:
-        for shard in self._shards:
-            yield from shard.store.ids()
-
-
-class _MergedPayloads:
-    """``store._data``-shaped view: ``get`` without LRU side effects."""
-
-    __slots__ = ("_shards",)
-
-    def __init__(self, shards: List[CacheShard]) -> None:
-        self._shards = shards
-
-    def get(self, store_id: int) -> Optional[bytes]:
-        for shard in self._shards:
-            payload = shard.store._data.get(store_id)
-            if payload is not None:
-                return payload
-        return None
-
-
-class _ShardedTableView:
-    """Aggregate ``table`` facade (``get``/``entries``/counters)."""
-
-    __slots__ = ("_parent",)
-
-    def __init__(self, parent: "ShardedByteCache") -> None:
-        self._parent = parent
-
-    def __len__(self) -> int:
-        return sum(len(shard.table) for shard in self._parent.shards)
-
-    def get(self, fingerprint: int) -> Optional[TableEntry]:
-        parent = self._parent
-        shard = parent.shards[shard_of(fingerprint, parent.n_shards)]
-        return shard.table.get(fingerprint)
-
-    def remove(self, fingerprint: int) -> None:
-        parent = self._parent
-        shard = parent.shards[shard_of(fingerprint, parent.n_shards)]
-        shard.table.remove(fingerprint)
-
-    def clear(self) -> None:
-        for shard in self._parent.shards:
-            shard.table.clear()
-
-    def entries(self) -> Iterator[TableEntry]:
-        for shard in self._parent.shards:
-            yield from shard.table.entries()
-
-    @property
-    def inserts(self) -> int:
-        return sum(shard.table.inserts for shard in self._parent.shards)
-
-    @property
-    def replacements(self) -> int:
-        return sum(shard.table.replacements for shard in self._parent.shards)
-
-
-class ShardedByteCache:
-    """A drop-in :class:`ByteCache` replacement sharded by fingerprint.
-
-    Exposes the same surface the encoder/decoder cores, gateways,
-    policies, resilience layer, telemetry and verify oracles consume:
-    ``insert_packet`` / ``lookup`` / ``lookup_view`` /
-    ``lookup_previous`` / ``mark_unusable`` / ``flush`` /
-    ``bump_epoch`` / ``set_byte_budget`` / ``evict_fraction``, the
-    ``store`` and ``table`` views, and ``epoch``/``flushes``.  The
-    ``_ring`` attribute is ``None`` so the encoder's batched ring fast
-    path falls back to the generic (table-agnostic) loop.
-    """
-
-    def __init__(self, byte_budget: int = 16 * 1024 * 1024,
-                 n_shards: int = 8,
-                 max_packets: Optional[int] = None,
-                 eviction: str = "lru",
-                 admission: float = 1.0) -> None:
-        if byte_budget <= 0:
-            raise ValueError("byte_budget must be positive")
-        if n_shards <= 0:
-            raise ValueError("n_shards must be positive")
-        if not 0.0 < admission <= 1.0:
-            raise ValueError(f"admission must be in (0, 1], got {admission}")
-        self.byte_budget = byte_budget
-        self.n_shards = n_shards
-        self.admission = admission
-        per_shard = max(1, byte_budget // n_shards)
-        per_shard_packets = (None if max_packets is None
-                             else max(1, -(-max_packets // n_shards)))
-        self.shards: List[CacheShard] = [
-            CacheShard(index, per_shard, per_shard_packets, eviction)
-            for index in range(n_shards)]
-        # Globally unique store ids: every shard's PacketStore draws
-        # from one shared counter, so an id names one payload cache-wide
-        # (external-id maps and the verify oracles depend on that).
-        shared_ids = self.shards[0].store._ids
-        for shard in self.shards[1:]:
-            shard.store._ids = shared_ids
-        self.store = _ShardedStoreView(self.shards)
-        self.table = _ShardedTableView(self)
-        self.table_kind = "sharded-dict"
-        #: No ring table: consumers testing `cache._ring is None` take
-        #: their generic path (see ByteCache.table_kind "dict").
-        self._ring = None
-        self.epoch = 0
-        self.flushes = 0
-        #: Payloads the admission coin declined to cache.
-        self.admission_rejected = 0
-        self._external_ids: Dict[int, int] = {}
-        self._unusable_store_ids: Set[int] = set()
-
-    # -- admission ---------------------------------------------------------
-
-    def _admit(self, payload: bytes) -> bool:
-        # Content-keyed coin: both gateways flip identically for the
-        # same bytes, independent of arrival order or loss between
-        # them.  (A sequence-keyed coin would silently desynchronise
-        # the caches on the first dropped packet.)
-        threshold = int(self.admission * 0xFFFFFFFF)
-        return (zlib.crc32(payload) & 0xFFFFFFFF) <= threshold
-
-    # -- the ByteCache surface ---------------------------------------------
-
-    def insert_packet(self, payload: bytes,
-                      anchors: list,
-                      tcp_seq: Optional[int] = None,
-                      flow: Optional[tuple] = None,
-                      packet_counter: int = 0,
-                      external_id: Optional[int] = None) -> int:
-        """Cache ``payload`` in its home shard; route anchors to theirs.
-
-        Returns the payload's (globally unique) store id, or ``0`` when
-        the admission coin declined the payload.
-        """
-        pairs = anchors.pairs() if hasattr(anchors, "pairs") else anchors
-        if not hasattr(pairs, "__len__"):
-            pairs = list(pairs)
-        if self.admission < 1.0 and not self._admit(payload):
-            self.admission_rejected += 1
-            return 0
-        n_shards = self.n_shards
-        if pairs:
-            home = shard_of(pairs[0][1], n_shards)
-        else:
-            home = (zlib.crc32(payload) & 0xFFFFFFFF) % n_shards
-        shards = self.shards
-        store_id = shards[home].store.add(payload)
-        if external_id is not None:
-            self._external_ids[store_id] = external_id
-            if len(self._external_ids) > 4 * len(self.store) + 64:
-                self._prune()
-        entry_cls = ShardEntry
-        for offset, fingerprint in pairs:
-            shard = shards[shard_of(fingerprint, n_shards)]
-            table = shard.table
-            entries = table._table
-            displaced = entries.get(fingerprint)
-            if displaced is not None:
-                table.replacements += 1
-                if displaced.store_id != store_id:
-                    shard.previous[fingerprint] = displaced
-            table.inserts += 1
-            entries[fingerprint] = entry_cls(fingerprint, store_id, offset,
-                                             home, tcp_seq, flow,
-                                             packet_counter)
-        return store_id
-
-    def lookup(self, fingerprint: int) -> Optional[Tuple[TableEntry, bytes]]:
-        """Return (entry, cached payload) or None; lazy invalidation."""
-        shard = self.shards[shard_of(fingerprint, self.n_shards)]
-        entry = shard.table._table.get(fingerprint)
-        if entry is None or not entry.usable:
-            return None
-        store_id = entry.store_id
-        if store_id in self._unusable_store_ids:
-            return None
-        payload = self.shards[entry.home].store.get(store_id)
-        if payload is None:
-            shard.table.remove(fingerprint)
-            return None
-        return entry, payload
-
-    def lookup_view(self, fingerprint: int) -> Optional[memoryview]:
-        """Zero-copy variant of :meth:`lookup` for region reads."""
-        hit = self.lookup(fingerprint)
-        if hit is None:
-            return None
-        return memoryview(hit[1])
-
-    def lookup_previous(self, fingerprint: int
-                        ) -> Optional[Tuple[TableEntry, bytes]]:
-        """The displaced (one-generation-older) entry, as in ByteCache."""
-        shard = self.shards[shard_of(fingerprint, self.n_shards)]
-        entry = shard.previous.get(fingerprint)
-        if entry is None or not entry.usable:
-            return None
-        if entry.store_id in self._unusable_store_ids:
-            return None
-        payload = self.shards[entry.home].store.get(entry.store_id)
-        if payload is None:
-            shard.previous.pop(fingerprint, None)
-            return None
-        return entry, payload
-
-    def external_id_for(self, store_id: int) -> Optional[int]:
-        return self._external_ids.get(store_id)
-
-    def mark_unusable(self, fingerprint: int) -> bool:
-        """Informed marking, with the whole-payload semantics of
-        :meth:`ByteCache.mark_unusable` (every fingerprint resolving to
-        the same payload is disabled via the store-id set)."""
-        shard = self.shards[shard_of(fingerprint, self.n_shards)]
-        entry = shard.table.get(fingerprint)
-        if entry is None:
-            return False
-        entry.usable = False
-        self._unusable_store_ids.add(entry.store_id)
-        return True
-
-    def flush(self) -> None:
-        """Drop everything in every shard (one cache, one flush)."""
-        for shard in self.shards:
-            shard.store.clear()
-            shard.table.clear()
-            shard.previous.clear()
-        self._external_ids.clear()
-        self._unusable_store_ids.clear()
-        self.flushes += 1
-
-    def bump_epoch(self) -> int:
-        self.epoch += 1
-        return self.epoch
-
-    def set_byte_budget(self, byte_budget: int) -> int:
-        """Re-split the budget across shards; returns evictions forced."""
-        if byte_budget <= 0:
-            raise ValueError("byte_budget must be positive")
-        self.byte_budget = byte_budget
-        per_shard = max(1, byte_budget // self.n_shards)
-        evicted = 0
-        for shard in self.shards:
-            evicted += shard.store.set_byte_budget(per_shard)
-        return evicted
-
-    def evict_fraction(self, fraction: float) -> int:
-        """Evict the oldest ``fraction`` of each shard's payloads."""
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-        evicted = 0
-        for shard in self.shards:
-            evicted += shard.store.evict_oldest(
-                int(len(shard.store) * fraction))
-        return evicted
-
-    # -- maintenance / introspection ---------------------------------------
-
-    def _prune(self) -> None:
-        live = set(self.store.ids())
-        self._external_ids = {sid: ext
-                              for sid, ext in self._external_ids.items()
-                              if sid in live}
-        self._unusable_store_ids &= live
-        for shard in self.shards:
-            shard.previous = {fp: entry
-                              for fp, entry in shard.previous.items()
-                              if entry.store_id in live}
-
-    def __len__(self) -> int:
-        return len(self.table)
-
-    def shard_occupancy(self) -> List[Dict[str, int]]:
-        """Per-shard occupancy/eviction snapshot (telemetry + reports)."""
-        rows: List[Dict[str, int]] = []
-        for shard in self.shards:
-            rows.append({
-                "shard": shard.index,
-                "payloads": len(shard.store),
-                "bytes": shard.store.bytes_used,
-                "byte_budget": shard.store.byte_budget,
-                "entries": len(shard.table),
-                "evictions": shard.store.evictions,
-            })
-        return rows
-
-    def check_invariants(self) -> List[str]:
-        """Machine-checked shard invariants; returns violation strings.
-
-        The serving oracle calls this during a run: per-shard bytes
-        within budget (and consistent with the stored payloads), every
-        fingerprint resident in exactly the shard that owns it, and the
-        global entry count equal to the sum over shards.
-        """
-        problems: List[str] = []
-        seen_fps: Set[int] = set()
-        total_entries = 0
-        for shard in self.shards:
-            store = shard.store
-            if store.bytes_used > store.byte_budget:
-                problems.append(
-                    f"shard {shard.index}: {store.bytes_used} bytes "
-                    f"exceeds budget {store.byte_budget}")
-            actual = sum(len(payload) for payload in store._data.values())
-            if actual != store.bytes_used:
-                problems.append(
-                    f"shard {shard.index}: accounted {store.bytes_used} "
-                    f"bytes but stores {actual}")
-            total_entries += len(shard.table)
-            for entry in shard.table.entries():
-                fp = entry.fingerprint
-                owner = shard_of(fp, self.n_shards)
-                if owner != shard.index:
-                    problems.append(
-                        f"fingerprint {fp} resident in shard "
-                        f"{shard.index} but owned by shard {owner}")
-                if fp in seen_fps:
-                    problems.append(
-                        f"fingerprint {fp} resident in two shards")
-                seen_fps.add(fp)
-        if total_entries != len(self.table):
-            problems.append(
-                f"global entry count {len(self.table)} != "
-                f"sum of shards {total_entries}")
-        return problems
+# Kept for perfbench/tracer.py; delete in the benchmark PR that drops it.
+class ShardedByteCache(ByteCache):
+    """Alias of :class:`ByteCache` with no behaviour of its own."""

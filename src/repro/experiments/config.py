@@ -33,14 +33,9 @@ class ExperimentConfig:
     cache_bytes: int = 16 * 1024 * 1024
     cache_max_packets: Optional[int] = None
     cache_eviction: str = "fifo"            # "fifo" (paper) | "lru"
-    #: > 0 selects the sharded shared cache (repro.core.shardcache):
-    #: N fingerprint-routed shards with per-shard byte budgets, the
-    #: serving mode's population cache.  0 keeps the paper's single
-    #: per-transfer ByteCache.
-    cache_shards: int = 0
-    #: Probabilistic admission for the sharded cache: fraction of
-    #: payloads admitted, decided by a content-keyed coin so the
-    #: encoder and decoder always agree.  1.0 = admit everything.
+    #: Probabilistic admission: fraction of payloads cached, decided
+    #: by a content-keyed coin so the encoder and decoder always
+    #: agree.  1.0 = admit everything.
     cache_admission: float = 1.0
 
     # -- gateway resilience layer (epochs / resync / heartbeats; see

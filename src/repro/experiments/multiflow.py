@@ -168,7 +168,7 @@ def run_concurrent_fetches(config: ExperimentConfig,
 
 
 # ---------------------------------------------------------------------------
-# Flow-parallel execution: independent flows sharded over a process pool
+# Flow-parallel execution: independent flows spread over a process pool
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -210,12 +210,12 @@ def run_parallel_flows(configs: Sequence[ExperimentConfig], *,
                        workers: Optional[int] = None,
                        profiler: Optional[StageProfiler] = None
                        ) -> MultiFlowSetResult:
-    """Run independent flows, optionally sharded across a process pool.
+    """Run independent flows, optionally spread across a process pool.
 
     Flows here are *independent* in the strict sense: each config gets
     its own testbed (gateway pair, caches, simulator), which is what
-    makes process sharding sound — there is no shared mutable state to
-    race on.  With ``workers`` ``None``/``<=1`` everything runs in this
+    makes splitting them across processes sound — there is no shared
+    mutable state to race on.  With ``workers`` ``None``/``<=1`` everything runs in this
     process; otherwise the flows fan out over
     :func:`repro.experiments.sweep.parallel_map` and are merged back in
     submission-index order, so the output is byte-identical either way

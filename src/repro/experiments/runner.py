@@ -118,7 +118,6 @@ def build_testbed(config: ExperimentConfig,
             cache_bytes=config.cache_bytes,
             cache_max_packets=config.cache_max_packets,
             cache_eviction=config.cache_eviction,
-            cache_shards=config.cache_shards,
             cache_admission=config.cache_admission,
             encoder_address=ENCODER_ADDR, decoder_address=DECODER_ADDR,
             tracer=tracer,

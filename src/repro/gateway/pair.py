@@ -7,7 +7,6 @@ from typing import Optional
 
 from ..core.cache import ByteCache
 from ..core.fingerprint import FingerprintScheme
-from ..core.shardcache import ShardedByteCache
 from ..core.policies import make_policy_pair
 from ..sim.engine import Simulator
 from ..sim.trace import NULL_TRACER, Tracer
@@ -29,7 +28,6 @@ class GatewayPair:
                cache_bytes: int = 16 * 1024 * 1024,
                cache_max_packets: Optional[int] = None,
                cache_eviction: str = "fifo",
-               cache_shards: int = 0,
                cache_admission: float = 1.0,
                encoder_address: str = "10.255.0.1",
                decoder_address: str = "10.255.0.2",
@@ -62,18 +60,10 @@ class GatewayPair:
         encoder_policy, decoder_policy = make_policy_pair(policy, **policy_kwargs)
 
         def build_cache():
-            # ``cache_shards > 0`` selects the shared-cache serving
-            # configuration: one memory-bounded sharded cache per
-            # direction, LRU by default, optional probabilistic
-            # admission.  Both gateways get structurally identical
-            # caches either way — cache symmetry is what DRE relies on.
-            if cache_shards > 0:
-                return ShardedByteCache(
-                    cache_bytes, n_shards=cache_shards,
-                    max_packets=cache_max_packets,
-                    eviction=cache_eviction,
-                    admission=cache_admission)
-            return ByteCache(cache_bytes, cache_max_packets, cache_eviction)
+            # Both gateways get identically configured caches — cache
+            # symmetry is what DRE relies on.
+            return ByteCache(cache_bytes, cache_max_packets, cache_eviction,
+                             admission=cache_admission)
 
         encoder = EncoderGateway(
             sim, "encoder-gw", encoder_address, scheme,

@@ -3,7 +3,7 @@
 A :class:`StageProfiler` accumulates (total seconds, call count) per
 named stage.  The instrumented code — the encoder/decoder
 (``batch_fingerprint``, ``fingerprint``, ``table_probe``,
-``region_expand``, ``wire_pack``, ``cache_ops``), the flow-shard
+``region_expand``, ``wire_pack``, ``cache_ops``), the parallel-flow
 recombiner (``merge``) and the simulator run loop
 (``event_dispatch``) — holds an optional profiler reference:
 when it is ``None`` (the default) each hook costs one attribute load
@@ -23,7 +23,7 @@ from typing import Dict, Iterator, Optional, Tuple
 #: these are the ones the built-in instrumentation emits).
 #: ``batch_fingerprint`` is the vectorised whole-window sweep of
 #: ``encode_batch``; ``fingerprint`` the per-packet path; ``merge`` the
-#: deterministic recombination of flow-sharded results.
+#: deterministic recombination of results from parallel flows.
 STAGES = ("batch_fingerprint", "fingerprint", "table_probe",
           "region_expand", "wire_pack", "cache_ops", "merge",
           "event_dispatch")

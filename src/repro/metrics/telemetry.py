@@ -436,8 +436,6 @@ class TelemetryConfig:
     #: churns thousands of short flows through one stack and must turn
     #: this off (the aggregate stack/gateway gauges remain).
     per_connection: bool = True
-    #: Register per-shard occupancy/eviction gauges for sharded caches.
-    per_shard: bool = True
 
 
 class Telemetry:
@@ -519,24 +517,6 @@ class Telemetry:
                             fn=lambda c=cache: c.store.evictions, gw=role)
         self.registry.gauge("cache.epoch",
                             fn=lambda c=cache: c.epoch, gw=role)
-        shards = getattr(cache, "shards", None)
-        if shards is not None and self.config.per_shard:
-            # Sharded serving cache: per-shard occupancy and eviction
-            # gauges (duck-typed — only repro.core.shardcache has them).
-            for shard in shards:
-                index = shard.index
-                self.registry.gauge(
-                    "cache.shard_bytes",
-                    fn=lambda s=shard: s.store.bytes_used,
-                    gw=role, shard=index)
-                self.registry.gauge(
-                    "cache.shard_entries",
-                    fn=lambda s=shard: len(s.table),
-                    gw=role, shard=index)
-                self.registry.gauge(
-                    "cache.shard_evictions",
-                    fn=lambda s=shard: s.store.evictions,
-                    gw=role, shard=index)
         stats = gateway.stats
         self.registry.gauge("gw.undecodable_dropped",
                             fn=lambda s=stats: s.undecodable_dropped, gw=role)

@@ -1,4 +1,4 @@
-"""Population serving mode: Zipf catalog + sessions + shared sharded cache.
+"""Population serving mode: Zipf catalog + sessions + one shared cache.
 
 The paper evaluates one synthetic transfer at a time; its deployment
 story is a cellular gateway serving a whole subscriber population whose
@@ -7,8 +7,8 @@ requests overlap in content.  This package is that evaluation mode:
 * :mod:`repro.serving.sessions` — seeded Poisson/think-time session
   generator (who asks for what, when);
 * :mod:`repro.serving.engine` — drives the generated request stream as
-  concurrent flows through one testbed whose gateways share a
-  :class:`repro.core.shardcache.ShardedByteCache`, and reports
+  concurrent flows through one testbed whose gateways each hold one
+  shared :class:`repro.core.cache.ByteCache`, and reports
   warm-up-excluded steady-state metrics;
 * :mod:`repro.serving.sweep` — users x catalog x cache-budget grids
   through the sweep engine, emitting ``BENCH_serving.json``.

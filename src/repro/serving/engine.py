@@ -3,8 +3,8 @@
 One :func:`run_serving` call is the serving analogue of
 :func:`repro.experiments.runner.run_transfer`: it builds the Fig. 3
 topology once, replaces the single-object server with a Zipf catalog
-server, arms the gateways with a shared
-:class:`~repro.core.shardcache.ShardedByteCache` per direction, and
+server, arms the gateways with one shared
+:class:`~repro.core.cache.ByteCache` per direction, and
 replays a pre-generated session schedule as overlapping TCP flows —
 hundreds to thousands through the one bottleneck and the one cache
 pair.
@@ -66,6 +66,8 @@ class ServingSpec:
     # -- shared cache / policy
     policy: str = "cache_flush"
     cache_bytes: int = 4 * 1024 * 1024
+    # Read by nothing; kept for perfbench/workloads.py, delete in the
+    # benchmark PR that drops it.
     cache_shards: int = 8
     cache_admission: float = 1.0
     cache_eviction: str = "lru"
@@ -105,7 +107,6 @@ class ServingSpec:
         return ExperimentConfig(
             policy=self.policy,
             cache_bytes=self.cache_bytes,
-            cache_shards=self.cache_shards,
             cache_admission=self.cache_admission,
             cache_eviction=self.cache_eviction,
             bandwidth=self.bandwidth,
@@ -197,14 +198,13 @@ class FlowPool:
 
 
 class ServingOracle:
-    """Periodic machine check of the sharded-cache invariants.
+    """Periodic machine check of the shared caches' invariants.
 
     Armed when ``spec.verify``: every ``interval`` simulated seconds
     both directions' caches run
-    :meth:`~repro.core.shardcache.ShardedByteCache.check_invariants`;
-    any violation raises a structured
-    :class:`~repro.verify.oracles.InvariantViolation` immediately, with
-    the shard snapshot as context.
+    :meth:`~repro.core.cache.ByteCache.check_invariants`; any violation
+    raises a structured :class:`~repro.verify.oracles.InvariantViolation`
+    immediately, with the store's occupancy as context.
     """
 
     def __init__(self, sim, caches: Dict[str, Any], interval: float = 1.0):
@@ -220,18 +220,18 @@ class ServingOracle:
         from ..verify.oracles import InvariantViolation
 
         for role, cache in self.caches.items():
-            check = getattr(cache, "check_invariants", None)
-            if check is None:
-                continue
-            problems = check()
+            problems = cache.check_invariants()
             self.checks += 1
             if problems:
+                store = cache.store
                 raise InvariantViolation(
-                    "serving_shards",
-                    f"{role} cache violates shard invariants: "
+                    "serving_cache",
+                    f"{role} cache violates its invariants: "
                     f"{problems[0]}",
                     context={"role": role, "problems": problems,
-                             "occupancy": cache.shard_occupancy()})
+                             "payloads": len(store),
+                             "bytes_used": store.bytes_used,
+                             "byte_budget": store.byte_budget})
 
     def _tick(self) -> None:
         self.check_now()
@@ -417,20 +417,16 @@ def run_serving(spec: ServingSpec) -> Dict[str, Any]:
     if testbed.gateways is not None:
         enc_cache = testbed.gateways.encoder.cache
         dec_cache = testbed.gateways.decoder.cache
+        enc_store = enc_cache.store
         report["cache"] = {
-            "bytes_used": enc_cache.store.bytes_used,
-            "byte_budget": getattr(enc_cache, "byte_budget",
-                                   enc_cache.store.byte_budget),
-            "entries": len(enc_cache.store),
-            "evictions": (enc_cache.store.evictions
-                          + dec_cache.store.evictions),
-            "admission_rejected": getattr(enc_cache, "admission_rejected", 0),
-            "pressure": (enc_cache.store.bytes_used
-                         / max(1, enc_cache.store.byte_budget)),
+            "bytes_used": enc_store.bytes_used,
+            "byte_budget": enc_store.byte_budget,
+            "entries": len(enc_store),
+            "evictions": enc_store.evictions + dec_cache.store.evictions,
+            "flushes": enc_cache.flushes + dec_cache.flushes,
+            "admission_rejected": enc_cache.admission_rejected,
+            "pressure": enc_store.bytes_used / enc_store.byte_budget,
         }
-        occupancy = getattr(enc_cache, "shard_occupancy", None)
-        if occupancy is not None:
-            report["cache"]["shards"] = occupancy()
     if oracle is not None:
         oracle.check_now()
         report["oracle_checks"] = oracle.checks

@@ -49,7 +49,8 @@ def serving_bench_payload(reports: List[Dict[str, Any]],
     ``summary`` carries the scalars the regression sentinel watches:
     the mean steady-state hit ratio and bytes-saved ratio across cells
     (higher is better), and the worst steady p99 download time (lower
-    is better).
+    is better).  Each cell records its cache evictions and flushes, so
+    a flat cache-budget axis shows up in the data.
     """
     if not reports:
         raise ValueError("no serving reports to summarise")
@@ -60,12 +61,14 @@ def serving_bench_payload(reports: List[Dict[str, Any]],
     cells = []
     for report in reports:
         spec = report["spec"]
+        cache = report.get("cache", {})   # absent when DRE is off
         cells.append({
             "users": spec["users"],
             "n_contents": spec["n_contents"],
             "cache_bytes": spec["cache_bytes"],
-            "cache_shards": spec["cache_shards"],
             "seed": spec["seed"],
+            "cache": {"evictions": cache.get("evictions", 0),
+                      "flushes": cache.get("flushes", 0)},
             "steady": report["steady"],
             "requests": report["requests"],
             "pool": report["pool"],
@@ -112,6 +115,12 @@ def validate_bench_serving(doc: Any) -> None:
         for key in ("hit_ratio", "bytes_saved_ratio", "samples"):
             if key not in steady:
                 raise ValueError(f"steady section missing {key!r}")
+        cache = cell.get("cache")
+        if not isinstance(cache, dict):
+            raise ValueError("cell missing cache section")
+        for key in ("evictions", "flushes"):
+            if key not in cache:
+                raise ValueError(f"cache section missing {key!r}")
     summary = doc.get("summary")
     if not isinstance(summary, dict):
         raise ValueError("missing summary")

@@ -24,7 +24,7 @@ implementation choice that must be behaviour-preserving:
   reference dict table, same packet sequence: byte-identical wire
   output.
 * **multiflow parallelism** — independent flows run serially and
-  sharded over a process pool must merge to the same per-flow link
+  spread over a process pool must merge to the same per-flow link
   byte counts (see :func:`repro.experiments.multiflow.run_parallel_flows`).
 
 Each comparison returns a :class:`DifferentialResult`; ``repro verify``

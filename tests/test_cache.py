@@ -1,5 +1,7 @@
 """Unit tests for the byte caches (packet store + fingerprint table)."""
 
+import zlib
+
 import pytest
 
 from repro.core.cache import (ByteCache, CacheEntry, FingerprintTable,
@@ -169,3 +171,103 @@ class TestByteCache:
         for i in range(200):
             cache.insert_packet(b"x" * 100, [(0, i)], external_id=i)
         assert len(cache._external_ids) <= 4 * 4 + 64
+
+
+# Value-selection anchors have their low zero_bits (4) bits zero.
+FPS = [(i * 2654435761 % (1 << 36)) << 4 for i in range(1, 25)]
+BIG = 1 << 30
+
+
+class TestServingCache:
+    """The behaviours a population's shared cache relies on: LRU,
+    content-keyed admission, runtime re-budgeting, invariant checks."""
+
+    def test_lru_keeps_hot_payloads_alive(self):
+        # Room for ~2 payloads; touching A repeatedly must evict B, not
+        # A (the reason serving defaults to LRU).
+        cache = ByteCache(250, eviction="lru")
+        fp_a, fp_b, fp_c = FPS[0], FPS[1], FPS[2]
+        cache.insert_packet(b"A" * 100, [(0, fp_a)])
+        cache.insert_packet(b"B" * 100, [(0, fp_b)])
+        assert cache.lookup(fp_a) is not None   # touch A: now most-recent
+        cache.insert_packet(b"C" * 100, [(0, fp_c)])
+        assert cache.lookup(fp_a) is not None
+        assert cache.lookup(fp_b) is None
+
+    def test_probabilistic_admission_is_content_keyed(self):
+        full = ByteCache(BIG, admission=1.0)
+        half_a = ByteCache(BIG, admission=0.5)
+        half_b = ByteCache(BIG, admission=0.5, table_kind="dict")
+        payloads = [bytes([i]) * 40 for i in range(64)]
+        admitted = 0
+        for i, payload in enumerate(payloads):
+            fp = FPS[i % len(FPS)]
+            assert full.insert_packet(payload, [(0, fp)]) != 0
+            sid_a = half_a.insert_packet(payload, [(0, fp)])
+            sid_b = half_b.insert_packet(payload, [(0, fp)])
+            # Content-keyed coin: two caches (think encoder + decoder)
+            # always make the same decision for the same bytes.
+            assert (sid_a == 0) == (sid_b == 0)
+            expected = zlib.crc32(payload) <= int(0.5 * 0xFFFFFFFF)
+            assert (sid_a != 0) == expected
+            if sid_a == 0:
+                # A declined payload is not cached under any anchor.
+                assert half_a.lookup(fp) is None or \
+                    half_a.lookup(fp)[1] != payload
+            admitted += sid_a != 0
+        assert 0 < admitted < len(payloads)
+        assert half_a.admission_rejected == len(payloads) - admitted
+        assert half_b.admission_rejected == half_a.admission_rejected
+        assert full.admission_rejected == 0
+        assert len(half_a.store) == admitted
+
+    def test_constructor_validation(self):
+        with pytest.raises(ValueError):
+            ByteCache(0)
+        with pytest.raises(ValueError):
+            ByteCache(1024, admission=0.0)
+        with pytest.raises(ValueError):
+            ByteCache(1024, admission=1.5)
+        with pytest.raises(ValueError):
+            ByteCache(1024).set_byte_budget(-1)
+        assert ByteCache(1024, admission=1.0).admission == 1.0
+
+    def test_set_byte_budget_rescales_and_evicts(self):
+        cache = ByteCache(16_000, eviction="lru")
+        for i in range(100):
+            cache.insert_packet(bytes(120), [(0, FPS[i % len(FPS)])])
+        evicted = cache.set_byte_budget(4_000)
+        assert evicted > 0
+        assert cache.store.byte_budget == 4_000
+        assert cache.store.bytes_used <= 4_000
+        assert cache.check_invariants() == []
+
+    def test_evict_fraction_and_lazy_invalidation(self):
+        cache = ByteCache(BIG)
+        for i, fp in enumerate(FPS):
+            cache.insert_packet(bytes([i]) * 50, [(0, fp)])
+        before = len(cache.store)
+        assert cache.evict_fraction(1.0) == before
+        # Dangling table entries are invalidated lazily on lookup.
+        assert len(cache.table) == len(FPS)
+        for fp in FPS:
+            assert cache.lookup(fp) is None
+        assert len(cache.table) == 0
+        with pytest.raises(ValueError):
+            cache.evict_fraction(1.5)
+
+    def test_check_invariants_catches_over_budget_and_accounting(self):
+        cache = ByteCache(1_000)
+        cache.insert_packet(b"x" * 300, [(0, FPS[0])])
+        assert cache.check_invariants() == []
+        # Manufacture the corruptions the oracle exists to catch: a
+        # store grown past its budget behind the eviction loop's back,
+        # then a byte count that no longer matches the payloads held.
+        cache.store._data[10_000] = b"y" * 900
+        cache.store._bytes += 900
+        problems = cache.check_invariants()
+        assert len(problems) == 1 and "exceeds budget" in problems[0]
+        cache.store._bytes -= 1
+        problems = cache.check_invariants()
+        assert any("accounted 1199 bytes but stores 1200" in p
+                   for p in problems)

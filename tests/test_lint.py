@@ -273,6 +273,33 @@ class TestHotpath:
         })
         assert rules_of(lint(tmp_path)) == set()
 
+    def test_stale_roster_entry_flagged(self, tmp_path):
+        make_tree(tmp_path, {
+            "src/repro/core/encoder.py": hot_module(["return data"]),
+            "pyproject.toml": (
+                '[tool.repro-lint.hotpath]\n'
+                'functions = [\n'
+                '    "repro.core.encoder.ByteCachingEncoder.encode",\n'
+                '    "repro.core.encoder.ByteCachingEncoder.gone",\n'
+                ']\n'),
+        })
+        report = lint(tmp_path)
+        stale = [f for f in report.findings
+                 if f.rule == "hotpath-unresolved" and f.active]
+        assert len(stale) == 1
+        assert stale[0].path == "pyproject.toml"
+        assert stale[0].line == 4
+        assert "ByteCachingEncoder.gone" in stale[0].message
+        assert report.exit_code != 0
+
+    def test_default_roster_not_checked_for_staleness(self, tmp_path):
+        # No [tool.repro-lint.hotpath] table: the built-in roster names
+        # functions this tree lacks, and that is not a finding.
+        make_tree(tmp_path, {
+            "src/repro/core/encoder.py": hot_module(["return data"]),
+        })
+        assert "hotpath-unresolved" not in rules_of(lint(tmp_path))
+
 
 class TestHygiene:
     def test_bare_except_flagged(self, tmp_path):

@@ -223,3 +223,74 @@ def test_cache_insert_parity_ring_vs_dict(payloads, seed):
         assert (view is None) == (ring_hit is None)
         if view is not None:
             assert bytes(view) == ring_hit[1]
+
+
+# Value-selection anchors have their low zero_bits (4) bits zero.
+_PARITY_FPS = [(i * 2654435761 % (1 << 36)) << 4 for i in range(1, 25)]
+_fp_st = st.sampled_from(_PARITY_FPS)
+_op_st = st.one_of(
+    st.tuples(st.just("insert"),
+              st.binary(min_size=1, max_size=64),
+              st.lists(st.tuples(st.integers(0, 48), _fp_st), max_size=4)),
+    st.tuples(st.just("lookup"), _fp_st),
+    st.tuples(st.just("previous"), _fp_st),
+    st.tuples(st.just("mark"), _fp_st),
+    st.tuples(st.just("flush")),
+)
+
+
+def _hit_view(hit):
+    if hit is None:
+        return None
+    entry, payload = hit
+    return (payload, entry.offset, entry.tcp_seq, entry.flow,
+            entry.packet_counter, entry.usable)
+
+
+@settings(max_examples=120, deadline=None)
+@given(ops=st.lists(_op_st, max_size=60),
+       admission=st.sampled_from([1.0, 0.5]))
+def test_cache_interleaving_parity_ring_vs_dict(ops, admission):
+    """Any interleaving of inserts, lookups, history lookups, markings
+    and flushes: the ring-backed ByteCache answers exactly as the dict
+    reference does, with or without the admission coin."""
+    ring_cache = ByteCache(1 << 30, table_kind="ring", admission=admission)
+    dict_cache = ByteCache(1 << 30, table_kind="dict", admission=admission)
+    counter = 0
+    for op in ops:
+        if op[0] == "insert":
+            _, payload, anchors = op
+            sids = [cache.insert_packet(payload, anchors, tcp_seq=counter,
+                                        flow=("f", counter % 3),
+                                        packet_counter=counter,
+                                        external_id=counter)
+                    for cache in (ring_cache, dict_cache)]
+            assert sids[0] == sids[1]
+            assert ring_cache.external_id_for(sids[0]) == \
+                dict_cache.external_id_for(sids[1])
+            counter += 1
+        elif op[0] == "lookup":
+            assert _hit_view(ring_cache.lookup(op[1])) == \
+                _hit_view(dict_cache.lookup(op[1]))
+            view_a = ring_cache.lookup_view(op[1])
+            view_b = dict_cache.lookup_view(op[1])
+            assert (view_a is None) == (view_b is None)
+            if view_a is not None:
+                assert bytes(view_a) == bytes(view_b)
+        elif op[0] == "previous":
+            assert _hit_view(ring_cache.lookup_previous(op[1])) == \
+                _hit_view(dict_cache.lookup_previous(op[1]))
+        elif op[0] == "mark":
+            assert ring_cache.mark_unusable(op[1]) == \
+                dict_cache.mark_unusable(op[1])
+        else:
+            ring_cache.flush()
+            dict_cache.flush()
+    assert ring_cache.admission_rejected == dict_cache.admission_rejected
+    assert len(ring_cache.store) == len(dict_cache.store)
+    assert ring_cache.store.bytes_used == dict_cache.store.bytes_used
+    for fp in _PARITY_FPS:
+        assert _hit_view(ring_cache.lookup(fp)) == \
+            _hit_view(dict_cache.lookup(fp))
+    assert ring_cache.check_invariants() == []
+    assert dict_cache.check_invariants() == []

@@ -3,7 +3,7 @@
 The property tests pin the statistical and determinism contracts of
 the serving workload; the golden test freezes the end-to-end numbers
 of one small fixed run so a cache/encoder change that shifts serving
-results is caught deliberately; the soak run holds the sharded-cache
+results is caught deliberately; the soak run holds the shared cache's
 invariants and the no-per-flow-leak bound under 10k requests of churn.
 """
 
@@ -141,22 +141,41 @@ def test_serving_golden_run():
     assert report["steady"]["bytes_saved_ratio"] == pytest.approx(
         0.42451746521818334, rel=1e-9)
     assert report["cache"]["evictions"] == 0
+    assert report["cache"]["flushes"] == 5
     assert report["steady"]["samples"] == 68
 
 
 def test_serving_golden_run_under_memory_pressure():
     """Same run with a 64 KB budget: evictions happen, hits survive."""
     report = run_serving(ServingSpec(users=50, n_contents=200, seed=7,
-                                     cache_bytes=64 * 1024, cache_shards=4))
+                                     cache_bytes=64 * 1024))
     assert report["requests"]["completed"] == 85
-    assert report["cache"]["evictions"] == 680
+    assert report["cache"]["evictions"] == 672
+    assert report["cache"]["flushes"] == 5
     assert report["steady"]["hit_ratio"] == pytest.approx(
         0.8151041666666666, rel=1e-12)
     assert report["steady"]["bytes_saved_ratio"] == pytest.approx(
-        0.4085336503888084, rel=1e-9)
-    # Per-shard occupancy never exceeds its split budget.
-    for shard in report["cache"]["shards"]:
-        assert shard["bytes"] <= shard["byte_budget"]
+        0.41459733635047413, rel=1e-9)
+    assert report["cache"]["bytes_used"] <= report["cache"]["byte_budget"]
+
+
+def test_tcp_seq_population_completes_every_request():
+    """tcp_seq through one shared 1 MB cache at 1 % loss, seed 860497456.
+
+    This population stalled 22 of its 381 requests behind undecodable
+    retransmissions when the cache was split into eight fingerprint
+    shards with per-shard budgets; through one cache every request
+    completes.
+    """
+    report = run_serving(ServingSpec(users=200, n_contents=1000, alpha=0.8,
+                                     policy="tcp_seq", cache_bytes=1 << 20,
+                                     loss_rate=0.01, seed=860497456))
+    requests = report["requests"]
+    assert requests["total"] == 381
+    assert requests["completed"] == 381
+    assert requests["timeouts"] == 0
+    assert requests["stalled"] == 0
+    assert requests["unfinished"] == 0
 
 
 def test_serving_report_is_deterministic():
@@ -184,6 +203,11 @@ def test_serving_grid_serial_parallel_bit_identical(tmp_path):
     validate_bench_serving(json.loads(path.read_text()))
     # The sentinel's contract: summary carries the watched metric.
     assert "steady_hit_ratio" in doc["summary"]
+    # Each cell records its cache churn, summed over both gateways.
+    for cell, report in zip(doc["cells"], serial):
+        assert cell["cache"] == {
+            "evictions": report["cache"]["evictions"],
+            "flushes": report["cache"]["flushes"]}
     # Second write folds the first into history.
     doc2 = write_serving_bench(serial, str(path))
     assert len(doc2["history"]) == 1
@@ -204,6 +228,10 @@ def test_bench_serving_validation_rejects_garbage():
     bad["summary"] = {}
     with pytest.raises(ValueError):
         validate_bench_serving(bad)
+    no_flushes = json.loads(json.dumps(good))
+    del no_flushes["cells"][0]["cache"]["flushes"]
+    with pytest.raises(ValueError, match="flushes"):
+        validate_bench_serving(no_flushes)
 
 
 # ---------------------------------------------------------------------------
@@ -211,19 +239,19 @@ def test_bench_serving_validation_rejects_garbage():
 # ---------------------------------------------------------------------------
 
 def test_serving_soak_10k_requests_with_invariants():
-    """10k requests of churning users through a tight sharded cache.
+    """10k requests of churning users through a tight shared cache.
 
     ``verify=True`` arms per-flow content checks and the serving
-    oracle (per-shard budgets respected, fingerprints in exactly one
-    shard, global count consistent) every simulated second — any
-    violation raises InvariantViolation and fails the run.  The pool
+    oracle (byte budget respected, byte accounting consistent) every
+    simulated second — any violation raises InvariantViolation and
+    fails the run.  The pool
     bound is the leak check: without connection release the stacks
     would peak at exactly 2 table entries per request (20k); staying
     well under that proves churned flows are actually pruned.
     """
     spec = ServingSpec(users=6000, n_contents=2000, mean_object_bytes=1200,
                        max_requests=10_000, cache_bytes=256 * 1024,
-                       cache_shards=8, arrival_rate=400.0, linger=2.0,
+                       arrival_rate=400.0, linger=2.0,
                        seed=3, verify=True)
     report = run_serving(spec)
     requests = report["requests"]
@@ -236,8 +264,6 @@ def test_serving_soak_10k_requests_with_invariants():
     # Memory bound held under real eviction pressure.
     assert report["cache"]["evictions"] > 1_000
     assert report["cache"]["bytes_used"] <= report["cache"]["byte_budget"]
-    for shard in report["cache"]["shards"]:
-        assert shard["bytes"] <= shard["byte_budget"]
     # Churn leak bound: high-water well below the no-release ceiling.
     pool = report["pool"]
     assert pool["released"] > 5_000

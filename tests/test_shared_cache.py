@@ -1,9 +1,8 @@
 """Flows sharing one gateway cache: interleaving, flush, resync.
 
-The serving refactor replaced the one-transfer ByteCache with a shared
-sharded cache that many concurrent flows feed simultaneously.  These
-regressions pin the behaviours that a latent single-cache assumption
-would break: interleaved inserts from different flows, a flush landing
+In serving mode one ByteCache per direction is fed by many concurrent
+flows at once.  These regressions pin the behaviours that a latent
+one-flow-per-cache assumption would break: interleaved inserts from different flows, a flush landing
 mid-transfer on *both* gateways (the cache_flush policy does exactly
 this per retransmission), and epoch bumps (resync) leaving the shared
 state coherent for every flow, not just the one that triggered them.
@@ -11,7 +10,6 @@ state coherent for every flow, not just the one that triggered them.
 
 from repro.app.transfer import FileClient, FileServer
 from repro.core.cache import ByteCache
-from repro.core.shardcache import ShardedByteCache
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.multiflow import run_concurrent_fetches
 from repro.experiments.runner import FILE_NAME, SERVER_ADDR, build_testbed
@@ -21,17 +19,17 @@ FPS = [(i * 2654435761 % (1 << 36)) << 4 for i in range(1, 9)]
 
 
 # ---------------------------------------------------------------------------
-# end-to-end: concurrent flows through one sharded cache
+# end-to-end: concurrent flows through one shared cache
 # ---------------------------------------------------------------------------
 
-def test_concurrent_flows_share_sharded_cache_under_loss():
-    """Three flows interleave in one sharded cache, with loss.
+def test_concurrent_flows_share_cache_under_loss():
+    """Three flows interleave in one shared cache, with loss.
 
     Under the cache_flush policy every retransmission flushes both
     caches mid-run, so this exercises the interleaved flush path as a
     matter of course — all flows must still finish with intact content.
     """
-    config = ExperimentConfig(file_size=60_000, cache_shards=4,
+    config = ExperimentConfig(file_size=60_000,
                               cache_eviction="lru", loss_rate=0.02,
                               seed=5, time_limit=120.0)
     result = run_concurrent_fetches(config, n_clients=3)
@@ -40,10 +38,10 @@ def test_concurrent_flows_share_sharded_cache_under_loss():
     assert all(outcome.content_ok for outcome in result.outcomes)
 
 
-def test_sharded_cache_saves_bytes_across_flows():
-    """Inter-flow redundancy (§I) survives the sharded cache: later
+def test_shared_cache_saves_bytes_across_flows():
+    """Inter-flow redundancy (§I) survives the shared cache: later
     flows ride earlier flows' cached bytes on a clean link."""
-    config = ExperimentConfig(file_size=60_000, cache_shards=4,
+    config = ExperimentConfig(file_size=60_000,
                               cache_eviction="lru", seed=5,
                               time_limit=120.0)
     shared = run_concurrent_fetches(config, n_clients=3)
@@ -56,7 +54,7 @@ def test_sharded_cache_saves_bytes_across_flows():
 
 def _run_two_flows(flush_times=(), bump_times=()):
     """Two concurrent fetches with flushes/epoch bumps injected mid-run."""
-    config = ExperimentConfig(file_size=60_000, cache_shards=4,
+    config = ExperimentConfig(file_size=60_000,
                               cache_eviction="lru", seed=9,
                               time_limit=120.0)
     testbed = build_testbed(config)
@@ -135,10 +133,10 @@ def test_epoch_bump_mid_transfer_keeps_flows_alive():
 # unit-level: the shared-cache semantics flows rely on
 # ---------------------------------------------------------------------------
 
-def test_flush_preserves_epoch_and_id_uniqueness_like_unsharded():
-    sharded = ShardedByteCache(1 << 20, n_shards=4)
-    plain = ByteCache(1 << 20, table_kind="dict")
-    for cache in (sharded, plain):
+def test_flush_preserves_epoch_and_id_uniqueness():
+    ring = ByteCache(1 << 20, eviction="lru")
+    reference = ByteCache(1 << 20, eviction="lru", table_kind="dict")
+    for cache in (ring, reference):
         first = cache.insert_packet(b"a" * 20, [(0, FPS[0])])
         cache.flush()
         assert cache.epoch == 0          # flush is NOT a resync
@@ -155,7 +153,7 @@ def test_flush_preserves_epoch_and_id_uniqueness_like_unsharded():
 
 def test_interleaved_flows_share_and_replace_entries():
     """Two flow identities interleave inserts into one shared cache."""
-    cache = ShardedByteCache(1 << 20, n_shards=4)
+    cache = ByteCache(1 << 20, eviction="lru")
     flow_a = ("10.0.0.1", 1111)
     flow_b = ("10.0.0.2", 2222)
     sid_a = cache.insert_packet(b"A" * 30, [(0, FPS[0]), (8, FPS[1])],
