@@ -1,8 +1,8 @@
 """Hot-path microbenchmark: batched encoder vs the pre-batching oracle.
 
 The encoder hot path fingerprints a whole window of packets in one
-numpy pass (:meth:`FingerprintScheme.batch_anchors`), stores cache
-entries in the contiguous ring table (:mod:`repro.core.ringtable`,
+numpy pass (:meth:`FingerprintScheme.batch_anchors`), indexes cache
+entries in the per-packet record table (:mod:`repro.core.ringtable`,
 batch insert + bitmap candidate prefilter), and locates match
 boundaries with single-slice compares plus a big-endian-XOR diff.
 This bench keeps a faithful inline copy of the *previous*

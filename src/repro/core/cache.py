@@ -10,8 +10,9 @@ Two cooperating structures, as in Spring & Wetherall:
   same fingerprint, and the byte offset of the fingerprint inside the
   payload is stored alongside so match expansion starts instantly.
 
-Entries whose packet has been evicted from the store are invalidated
-lazily on lookup.
+The store's eviction hook removes an evicted payload's table entries,
+history and marks together with it, so every entry resolves to a
+stored payload and the table is bounded by the store.
 
 :class:`ByteCache` combines the two and is the one cache every gateway
 holds, whether it carries a single transfer or a whole population's
@@ -23,12 +24,13 @@ from __future__ import annotations
 import itertools
 import zlib
 from collections import OrderedDict
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import (Callable, Dict, Iterator, List, Optional, Set, Tuple,
+                    Union)
 
 import numpy as np
 
 from .polyhash import AnchorSet
-from .ringtable import RingEntry, RingFingerprintTable
+from .ringtable import KEY_SHIFT, RingEntry, RingFingerprintTable
 
 
 class CacheEntry:
@@ -99,6 +101,10 @@ class PacketStore:
         self._bytes = 0
         self._ids = itertools.count(1)
         self.evictions = 0
+        #: Called with the id of every payload evicted by the budget,
+        #: :meth:`evict_oldest` or :meth:`set_byte_budget` (not by
+        #: :meth:`clear`); the owning cache drops its side tables here.
+        self.on_evict: Optional[Callable[[int], None]] = None
 
     def __len__(self) -> int:
         return len(self._data)
@@ -168,9 +174,7 @@ class PacketStore:
         """
         evicted = 0
         while self._data and evicted < count:
-            _, payload = self._data.popitem(last=False)
-            self._bytes -= len(payload)
-            self.evictions += 1
+            self._pop_oldest()
             evicted += 1
         return evicted
 
@@ -180,9 +184,14 @@ class PacketStore:
     def _evict(self) -> None:
         while self._bytes > self.byte_budget or (
                 self.max_packets is not None and len(self._data) > self.max_packets):
-            _, payload = self._data.popitem(last=False)
-            self._bytes -= len(payload)
-            self.evictions += 1
+            self._pop_oldest()
+
+    def _pop_oldest(self) -> None:
+        store_id, payload = self._data.popitem(last=False)
+        self._bytes -= len(payload)
+        self.evictions += 1
+        if self.on_evict is not None:
+            self.on_evict(store_id)
 
 
 class FingerprintTable:
@@ -224,9 +233,9 @@ class ByteCache:
     """The combined cache used by an encoder or decoder gateway.
 
     ``table_kind`` selects the fingerprint-table implementation:
-    ``"ring"`` (the default) is the batched numpy ring buffer of
+    ``"ring"`` (the default) is the batched per-packet-record table of
     :mod:`repro.core.ringtable`; ``"dict"`` is the per-entry dict of
-    :class:`FingerprintTable`, kept only as the ring table's reference
+    :class:`FingerprintTable`, kept only as the record table's reference
     oracle (the property tests and the differential runner hold the two
     to byte-identical encoder output); no production path selects it.
 
@@ -246,6 +255,7 @@ class ByteCache:
         if not 0.0 < admission <= 1.0:
             raise ValueError(f"admission must be in (0, 1], got {admission}")
         self.store = PacketStore(byte_budget, max_packets, eviction)
+        self.store.on_evict = self._evicted
         self.admission = admission
         self._admission_threshold = int(admission * 0xFFFFFFFF)
         #: Payloads the admission coin declined to cache.
@@ -263,12 +273,16 @@ class ByteCache:
         #: the caches diverging.
         self.epoch = 0
         self._external_ids: Dict[int, int] = {}
-        self._unusable_store_ids: set = set()
-        # One generation of history: when a fingerprint's entry is
-        # replaced, the displaced entry is kept here.  Decoders use it
-        # to resolve references made against a slightly older cache
-        # state (the encoder's view can lag by up to one RTT).
+        self._unusable_store_ids: Set[int] = set()
+        # Dict reference only (the record table keeps both itself): one
+        # generation of history — when a fingerprint's entry is
+        # replaced, the displaced entry is kept here so decoders can
+        # resolve references made against a slightly older cache state
+        # (the encoder's view can lag by up to one RTT) — and each
+        # stored payload's fingerprints, for the eviction hook.
         self._previous_entries: Dict[int, CacheEntry] = {}
+        self._stored_fps: Dict[int, List[int]] = {}
+        self._keeps_history = True
 
     def insert_packet(self, payload: bytes,
                       anchors: list,
@@ -287,17 +301,15 @@ class ByteCache:
                 and zlib.crc32(payload) > self._admission_threshold):
             self.admission_rejected += 1
             return 0
-        store_id = self.store.add(payload)
+        store = self.store
+        store_id = store.add(payload)
         if external_id is not None:
             self._external_ids[store_id] = external_id
-            if len(self._external_ids) > 4 * len(self.store._data) + 64:
-                self._prune_external_ids()
         ring = self._ring
         if ring is not None:
             # Batched path: anchors stay numpy end-to-end; one packet
-            # record plus vectorised array fills, no per-anchor objects.
-            # Displaced generations stay in the ring, so the history
-            # fallback needs no per-insert tracking either.
+            # record plus C-speed bulk index and history updates, no
+            # per-anchor objects.
             if type(anchors) is AnchorSet:
                 ring.insert_batch(anchors.offsets, anchors.fingerprints,
                                   store_id, tcp_seq, flow, packet_counter,
@@ -310,65 +322,95 @@ class ByteCache:
                                   dtype=np.uint64, count=len(pairs))
                 ring.insert_batch(offsets, fps, store_id, tcp_seq, flow,
                                   packet_counter)
-            return store_id
-        # Reference path: per-entry dict updates with explicit
-        # displacement tracking (the pre-ring implementation).
+        else:
+            self._insert_reference(store_id, anchors, tcp_seq, flow,
+                                   packet_counter)
+        if store_id not in store:
+            # A payload larger than the whole budget evicted itself in
+            # add(), before its entries existed: drop them now.
+            self._evicted(store_id)
+        return store_id
+
+    def _insert_reference(self, store_id: int, anchors: list,
+                          tcp_seq: Optional[int], flow: Optional[tuple],
+                          packet_counter: int) -> None:
+        """Dict-table insert: per-entry updates with explicit
+        displacement tracking (the reference implementation)."""
         pairs = anchors.pairs() if hasattr(anchors, "pairs") else anchors
         if not hasattr(pairs, "__len__"):
             pairs = list(pairs)
         table = self.table
         assert isinstance(table, FingerprintTable)
         entries = table._table
-        lookup = entries.get
         previous = self._previous_entries
-        entry_cls = CacheEntry
+        keeps_history = self._keeps_history
+        fingerprints = self._stored_fps[store_id] = []
         replaced = 0
         for offset, fingerprint in pairs:
-            displaced = lookup(fingerprint)
+            displaced = entries.get(fingerprint)
             if displaced is not None:
                 replaced += 1
-                if displaced.store_id != store_id:
+                if keeps_history and displaced.store_id != store_id:
                     previous[fingerprint] = displaced
-            entries[fingerprint] = entry_cls(fingerprint, store_id, offset,
-                                             tcp_seq, flow, packet_counter)
+            entries[fingerprint] = CacheEntry(fingerprint, store_id, offset,
+                                              tcp_seq, flow, packet_counter)
+            fingerprints.append(fingerprint)
         table.inserts += len(pairs)
         table.replacements += replaced
-        return store_id
+
+    def _evicted(self, store_id: int) -> None:
+        """The store's eviction hook: forget everything about a payload.
+
+        Its table entries, history entries, unusable mark and external
+        id go with it, so every entry left resolves to a stored payload.
+        An evicted current entry takes its fingerprint's history along:
+        the history only answers while the current entry resolves.
+        """
+        self._external_ids.pop(store_id, None)
+        self._unusable_store_ids.discard(store_id)
+        ring = self._ring
+        if ring is not None:
+            ring.drop_store(store_id)
+            return
+        entries = self.table._table  # type: ignore[union-attr]
+        previous = self._previous_entries
+        for fingerprint in self._stored_fps.pop(store_id, ()):
+            entry = entries.get(fingerprint)
+            if entry is not None and entry.store_id == store_id:
+                del entries[fingerprint]
+                previous.pop(fingerprint, None)
+                continue
+            entry = previous.get(fingerprint)
+            if entry is not None and entry.store_id == store_id:
+                del previous[fingerprint]
 
     def lookup(self, fingerprint: int) -> Optional[Tuple[TableEntry, bytes]]:
         """Return (entry, cached payload) or None.
 
-        Entries pointing at evicted payloads are removed lazily.
+        Every table entry resolves to a stored payload (the eviction
+        hook removes entries with their payload), so a hit needs no
+        liveness check.
         """
         ring = self._ring
         if ring is not None:
-            # Ring fast path: same checks as below, but inlined against
-            # the table arrays so the (common) miss and filtered cases
-            # never materialise a RingEntry view.
-            entry_id = ring._index.get(fingerprint)
-            if entry_id is None:
+            # Record-table fast path: the miss and filtered cases never
+            # materialise a RingEntry view.  mark_unusable marks the
+            # whole record, so the record mark is the only check.
+            key = ring._index.get(fingerprint)
+            if key is None:
                 return None
-            if entry_id in ring._unusable_ids:
+            record = key >> KEY_SHIFT
+            if record in ring._unusable:
                 return None
-            store_id = ring._rec_store[ring._pkt[entry_id & ring._mask]]
-            if store_id in self._unusable_store_ids:
-                return None
-            payload = self.store.get(store_id)
-            if payload is None:
-                ring.remove(fingerprint)
-                return None
-            return RingEntry(ring, entry_id), payload
+            payload = self.store.get(ring._records[record][0])
+            return RingEntry(ring, key, fingerprint), payload  # type: ignore[return-value]
         entry = self.table.get(fingerprint)
         if entry is None or not entry.usable:
             return None
         store_id = entry.store_id
         if store_id in self._unusable_store_ids:
             return None
-        payload = self.store.get(store_id)
-        if payload is None:
-            self.table.remove(fingerprint)
-            return None
-        return entry, payload
+        return entry, self.store.get(store_id)  # type: ignore[return-value]
 
     def lookup_view(self, fingerprint: int) -> Optional[memoryview]:
         """Zero-copy variant of :meth:`lookup` for region reads.
@@ -381,16 +423,13 @@ class ByteCache:
         """
         ring = self._ring
         if ring is not None:
-            entry_id = ring._index.get(fingerprint)
-            if entry_id is None or entry_id in ring._unusable_ids:
+            key = ring._index.get(fingerprint)
+            if key is None:
                 return None
-            store_id = ring._rec_store[ring._pkt[entry_id & ring._mask]]
-            if store_id in self._unusable_store_ids:
+            record = key >> KEY_SHIFT
+            if record in ring._unusable:
                 return None
-            view = self.store.view(store_id)
-            if view is None:
-                ring.remove(fingerprint)
-            return view
+            return self.store.view(ring._records[record][0])
         hit = self.lookup(fingerprint)
         if hit is None:
             return None
@@ -400,30 +439,34 @@ class ByteCache:
         """The displaced (one-generation-older) entry for a fingerprint.
 
         Used by decoders to resolve references encoded against a cache
-        state from just before the latest replacement.
+        state from just before the latest replacement.  ``None`` once
+        either the displaced or the current entry's payload has been
+        evicted.
         """
-        ring = self._ring
         entry: Optional[TableEntry]
-        if ring is not None:
-            entry = ring.previous_entry(fingerprint)
-            if entry is None or not entry.usable:
-                return None
-            if entry.store_id in self._unusable_store_ids:
-                return None
-            payload = self.store.get(entry.store_id)
-            if payload is None:
-                return None
-            return entry, payload
-        entry = self._previous_entries.get(fingerprint)
+        if self._ring is not None:
+            entry = self._ring.previous_entry(fingerprint)
+        else:
+            entry = self._previous_entries.get(fingerprint)
         if entry is None or not entry.usable:
             return None
         if entry.store_id in self._unusable_store_ids:
             return None
-        payload = self.store.get(entry.store_id)
-        if payload is None:
-            self._previous_entries.pop(fingerprint, None)
-            return None
-        return entry, payload
+        return entry, self.store.get(entry.store_id)  # type: ignore[return-value]
+
+    def drop_history(self) -> None:
+        """Stop keeping the displaced entries :meth:`lookup_previous`
+        answers from, which then always answers ``None``.
+
+        Only a decoder's stale-reference fallback reads the history.
+        An encoder never does, so it calls this on its cache: its
+        inserts then skip the two per-packet history passes.
+        """
+        self._keeps_history = False
+        self._previous_entries.clear()
+        if self._ring is not None:
+            self._ring.history = False
+            self._ring._previous.clear()
 
     def external_id_for(self, store_id: int) -> Optional[int]:
         """Originating packet id of a stored payload (for dependency
@@ -437,6 +480,7 @@ class ByteCache:
         self._external_ids.clear()
         self._unusable_store_ids.clear()
         self._previous_entries.clear()
+        self._stored_fps.clear()
         self.flushes += 1
 
     def bump_epoch(self) -> int:
@@ -449,28 +493,32 @@ class ByteCache:
 
         The memory-pressure half of the chaos faults (and the first
         brick of serving many users from one box: per-tenant budgets
-        squeezed at runtime).  Fingerprint-table entries left dangling
-        by the storm are invalidated lazily on lookup, exactly as for
-        ordinary budget-driven eviction.
+        squeezed at runtime).  The storm's evictions go through the
+        store's eviction hook, so the table forgets each evicted
+        payload's entries at once, exactly as for budget eviction.
         """
         return self.store.set_byte_budget(byte_budget)
 
     def evict_fraction(self, fraction: float) -> int:
         """Evict the oldest ``fraction`` of stored payloads; returns count.
 
-        Dangling fingerprint-table entries are invalidated lazily on
-        lookup, exactly as for budget-driven eviction.
+        The table forgets each evicted payload's entries at once,
+        through the same eviction hook as budget-driven eviction.
         """
         if not 0.0 <= fraction <= 1.0:
             raise ValueError(f"fraction must be in [0, 1], got {fraction}")
         return self.store.evict_oldest(int(len(self.store) * fraction))
 
     def check_invariants(self) -> List[str]:
-        """Machine-checked budget and accounting; returns violations.
+        """Machine-checked budget, accounting and table–store
+        consistency; returns violations.
 
         The serving oracle calls this during a run: the store holds no
-        more bytes than its budget, and its running byte count equals
-        the summed length of the payloads it actually holds.
+        more bytes than its budget, its running byte count equals the
+        summed length of the payloads it actually holds, and every
+        table entry, history entry, mark and external id belongs to a
+        stored payload (for the record table: exactly one record per
+        stored payload).
         """
         store = self.store
         problems: List[str] = []
@@ -481,16 +529,25 @@ class ByteCache:
         if actual != store.bytes_used:
             problems.append(f"accounted {store.bytes_used} bytes but "
                             f"stores {actual}")
+        stored = set(store._data)
+        if self._ring is not None:
+            problems.extend(self._ring.check(stored))
+        else:
+            if set(self._stored_fps) != stored:
+                problems.append("reference table tracks a different set "
+                                "of payloads than the store holds")
+            entries = list(self.table.entries())
+            entries.extend(self._previous_entries.values())
+            dangling = [entry for entry in entries
+                        if entry.store_id not in stored]
+            if dangling:
+                problems.append(f"{len(dangling)} table entries resolve "
+                                f"to no stored payload")
+        if not self._external_ids.keys() <= stored:
+            problems.append("external ids kept for evicted payloads")
+        if not self._unusable_store_ids <= stored:
+            problems.append("unusable marks kept for evicted payloads")
         return problems
-
-    def _prune_external_ids(self) -> None:
-        live = set(self.store.ids())
-        self._external_ids = {sid: ext for sid, ext in self._external_ids.items()
-                              if sid in live}
-        self._unusable_store_ids &= live
-        self._previous_entries = {
-            fp: entry for fp, entry in self._previous_entries.items()
-            if entry.store_id in live}
 
     def mark_unusable(self, fingerprint: int) -> bool:
         """Informed marking: forbid encodings against the packet this
@@ -500,6 +557,8 @@ class ByteCache:
         mark lost packets), so every other fingerprint resolving to the
         same payload is disabled too — otherwise the encoder would just
         re-reference the lost packet through one of its other anchors.
+        Returns False when no stored packet carries the fingerprint
+        (never cached, or already evicted).
         """
         entry = self.table.get(fingerprint)
         if entry is None:

@@ -24,6 +24,7 @@ from .cache import ByteCache
 from .fingerprint import FingerprintScheme
 from .polyhash import AnchorSet
 from .region import Region, expand_bounds
+from .ringtable import KEY_SHIFT, POSITION_MASK, RingEntry
 from .wire import MIN_REGION_LENGTH, SHIM_SIZE, encode_payload, wrap_raw
 from .policies.base import EncoderPolicy, PacketMeta
 
@@ -179,6 +180,8 @@ class ByteCachingEncoder:
         # re-probed.  Deterministic — no clocks, no randomness.
         self._dense_streak = 0
         self._probe_skip = 0
+        # Only decoders fall back on displaced entries.
+        cache.drop_history()
         policy.attach_encoder(self)
 
     def encode(self, payload: bytes, meta: PacketMeta,
@@ -412,7 +415,7 @@ class ByteCachingEncoder:
     ) -> "Union[AnchorSet, _SplitPairs, Sequence[Tuple[int, int]]]":
         """Pre-filter a packet's anchors against the cache table.
 
-        With the ring table, one vectorised probe of the candidate
+        With the record table, one vectorised probe of the candidate
         bitmap discards the anchors that cannot possibly be in the
         fingerprint index (no false negatives — see
         :meth:`repro.core.ringtable.RingFingerprintTable.candidates`),
@@ -479,15 +482,11 @@ class ByteCachingEncoder:
         if use_ring:
             assert ring is not None
             idx_get = ring._index.get
-            unusable_ids = ring._unusable_ids
-            pkt_arr = ring._pkt
-            off_arr = ring._offsets
-            rec_store = ring._rec_store
-            slot_mask = ring._mask
+            unusable_records = ring._unusable
+            records = ring._records
             store_get = cache.store.get
-            unusable_sids = cache._unusable_store_ids
         # A policy that keeps the base entry_eligible hook (always True)
-        # and no verifier never looks at the entry view, so the ring
+        # and no verifier never looks at the entry view, so the record
         # branch can skip materialising a RingEntry per hit entirely.
         lazy_entry = (verifier is None and
                       type(policy).entry_eligible is EncoderPolicy.entry_eligible)
@@ -505,24 +504,20 @@ class ByteCachingEncoder:
             fingerprint = fps_l[i]
             i += 1
             if use_ring:
-                # Inlined ByteCache.lookup against the ring arrays (the
+                # Inlined ByteCache.lookup against the record table (the
                 # registered hot loop; see that method for the checks).
-                eid = idx_get(fingerprint)
-                if eid is None:
+                key = idx_get(fingerprint)
+                if key is None:
                     continue
-                if eid in unusable_ids:
+                rec_id = key >> KEY_SHIFT
+                if rec_id in unusable_records:
                     continue
-                slot = eid & slot_mask
-                sid = rec_store[pkt_arr[slot]]
-                if sid in unusable_sids:
-                    continue
+                record = records[rec_id]
+                sid = record[0]
                 stored = store_get(sid)
-                if stored is None:
-                    ring.remove(fingerprint)
-                    continue
-                entry_offset = int(off_arr[slot])
+                entry_offset = record[5][key & POSITION_MASK]
                 if not lazy_entry:
-                    entry = ring.entry(eid)
+                    entry = RingEntry(ring, key, fingerprint)
                     if not entry_eligible(entry, meta):
                         stats.ineligible_hits += 1
                         continue

@@ -1,19 +1,22 @@
-"""Contiguous ring-buffer fingerprint table (batched fast path).
+"""Packet-record fingerprint table (batched fast path).
 
 The dict-of-:class:`~repro.core.cache.CacheEntry` table costs one
 object allocation and two dict probes per anchor per cached packet —
-millions per sweep.  This module stores entries in parallel numpy
-arrays instead and addresses them by a monotone *entry id*:
+millions per sweep.  This table stores one *record* per cached packet
+instead (store id, tcp seq, flow, counter and the packet's anchors are
+identical for every anchor of one packet, so they are stored once) and
+indexes anchors by plain int *keys*:
 
-* ``_fps`` / ``_offsets`` / ``_pkt`` — per-entry arrays, indexed by
-  ``id % capacity`` (capacity is a power of two, so the modulo is a
-  mask).  ``_pkt`` points into per-insert *packet records* (store id,
-  tcp seq, flow, counter are identical for every anchor of one cached
-  packet, so they are stored once per packet, not once per anchor).
-* ``_index`` — fingerprint -> newest entry id.  CPython dicts are
-  open-addressed hash tables with C-speed bulk operations
-  (``update(zip(...))``), which measured faster than a hand-rolled
-  numpy open-addressed probe for this scalar-probe mix.
+* ``_index`` — fingerprint -> key of its newest anchor, where a key
+  packs ``(record id, anchor position)`` as ``record << 32 | position``;
+  readers unpack it with a shift and a mask.  CPython dicts are open-addressed
+  hash tables with C-speed bulk operations (``update(zip(...))``),
+  which measured faster than a hand-rolled numpy open-addressed probe
+  for this scalar-probe mix.
+* ``_previous`` — fingerprint -> key of the anchor its newest insert
+  displaced: the decoder's one-generation history.
+* ``_records`` — record id -> :data:`_Record`.  Record ids are the
+  table's own (not store ids), so the table also works standalone.
 * a *candidate bitmap* — an epoch-stamped ``uint8`` array over a
   Fibonacci hash of the fingerprint space.  :meth:`candidates` answers
   "which of these anchors could be cached?" for a whole packet in a
@@ -22,24 +25,25 @@ arrays instead and addresses them by a monotone *entry id*:
   negatives cannot happen because bits are only invalidated by an
   epoch bump).
 
-Ids are valid while ``id >= _floor``.  In the default *autogrow* mode
-the ring never invalidates a live entry: when full it either compacts
-(keeping, per fingerprint, the newest entry plus the newest older
-entry referencing a different stored packet — exactly the entries
-reachable through ``get`` and ``previous_entry``) or doubles capacity.
-With ``autogrow=False`` the ring is a fixed-size window: wrapping
-evicts the oldest entries, invalidating them even if still current
-(the classic ring-buffer trade-off, exercised by the edge-case tests).
+The table is bounded by the packet store: the owning
+:class:`~repro.core.cache.ByteCache` calls :meth:`drop_store` from the
+store's eviction hook, which removes the packet's record together with
+its index entries, its history entries and its unusable mark.  Every
+key reachable through the table therefore names a stored payload.
+(The module keeps its historical name: the table used to be a numpy
+ring buffer of entries that outlived their payloads.)
 
-Newest-wins, insert/replacement counting, ``len`` and lazy removal all
-match :class:`~repro.core.cache.FingerprintTable` exactly — the
-encoder's wire output is byte-identical whichever table backs the
-cache (enforced by the differential runner and bench_hotpath's legacy
+Newest-wins and insert/replacement counting match
+:class:`~repro.core.cache.FingerprintTable` exactly — the encoder's
+wire output is byte-identical whichever table backs the cache
+(enforced by the differential runner and bench_hotpath's legacy
 oracle).
 """
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import eq
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
@@ -50,59 +54,73 @@ _U64 = np.uint64
 #: uniformly over the bitmap slots.
 _FIB = np.uint64(0x9E3779B97F4A7C15)
 
+#: A key is ``record << KEY_SHIFT | position``: the anchor's position
+#: in its packet's record, so one packet's keys are a ``range``.
+#: Record ids start at 1, so no key is 0 (falsy) — the history update
+#: filters on truthiness.
+KEY_SHIFT = 32
+POSITION_MASK = (1 << KEY_SHIFT) - 1
+
+#: One cached packet: (store_id, tcp_seq, flow, packet_counter,
+#: fingerprints, offsets).  ``fingerprints`` is a uint64 array and
+#: ``offsets`` an int64 array seen through a memoryview (its items
+#: index straight to Python ints), one element per anchor as inserted:
+#: 16 bytes per anchor, against ~80 for lists of Python ints.
+_Record = Tuple[int, Optional[int], Optional[tuple], int, np.ndarray,
+                memoryview]
+
 _EMPTY_BOOL = np.zeros(0, dtype=bool)
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 
 
 class RingEntry:
-    """View of one ring-table entry (CacheEntry-compatible).
+    """View of one table entry (CacheEntry-compatible).
 
     Allocated only for fingerprints that *hit* — the miss path never
-    materialises an entry.  Attribute reads go straight to the table's
-    arrays; ``usable`` writes through (informed marking).
+    materialises an entry.  Attribute reads go straight to the packet
+    record; ``usable`` writes through (informed marking marks the
+    whole packet).
     """
 
-    __slots__ = ("_table", "_id", "_slot")
+    __slots__ = ("_table", "_key", "fingerprint")
 
-    def __init__(self, table: "RingFingerprintTable", entry_id: int) -> None:
+    def __init__(self, table: "RingFingerprintTable", key: int,
+                 fingerprint: int) -> None:
         self._table = table
-        self._id = entry_id
-        self._slot = entry_id & table._mask
-
-    @property
-    def fingerprint(self) -> int:
-        return int(self._table._fps[self._slot])
+        self._key = key
+        self.fingerprint = fingerprint
 
     @property
     def offset(self) -> int:
-        return int(self._table._offsets[self._slot])
+        return self._table._records[self._key >> KEY_SHIFT][5][
+            self._key & POSITION_MASK]
 
     @property
     def store_id(self) -> int:
-        return self._table._rec_store[self._table._pkt[self._slot]]
+        return self._table._records[self._key >> KEY_SHIFT][0]
 
     @property
     def tcp_seq(self) -> Optional[int]:
-        return self._table._rec_seq[self._table._pkt[self._slot]]
+        return self._table._records[self._key >> KEY_SHIFT][1]
 
     @property
     def flow(self) -> Optional[tuple]:
-        return self._table._rec_flow[self._table._pkt[self._slot]]
+        return self._table._records[self._key >> KEY_SHIFT][2]
 
     @property
     def packet_counter(self) -> int:
-        return self._table._rec_counter[self._table._pkt[self._slot]]
+        return self._table._records[self._key >> KEY_SHIFT][3]
 
     @property
     def usable(self) -> bool:
-        return self._id not in self._table._unusable_ids
+        return self._key >> KEY_SHIFT not in self._table._unusable
 
     @usable.setter
     def usable(self, value: bool) -> None:
         if value:
-            self._table._unusable_ids.discard(self._id)
+            self._table._unusable.discard(self._key >> KEY_SHIFT)
         else:
-            self._table._unusable_ids.add(self._id)
+            self._table._unusable.add(self._key >> KEY_SHIFT)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"RingEntry(fingerprint={self.fingerprint}, "
@@ -113,61 +131,43 @@ class RingEntry:
 
 
 class RingFingerprintTable:
-    """fingerprint -> newest entry, backed by ring-buffer numpy arrays."""
+    """fingerprint -> newest entry, backed by per-packet records."""
 
-    def __init__(self, capacity: int = 8192, *, autogrow: bool = True,
-                 bitmap_bits: int = 18) -> None:
-        if capacity < 2 or capacity & (capacity - 1):
-            raise ValueError(f"capacity must be a power of two >= 2, "
-                             f"got {capacity}")
+    def __init__(self, *, bitmap_bits: int = 18) -> None:
         if not 8 <= bitmap_bits <= 24:
             raise ValueError(f"bitmap_bits must be in [8, 24], "
                              f"got {bitmap_bits}")
-        self._capacity = capacity
-        self._mask = capacity - 1
-        self.autogrow = autogrow
-        self._fps = np.zeros(capacity, dtype=np.uint64)
-        self._offsets = np.zeros(capacity, dtype=np.int64)
-        self._pkt = np.zeros(capacity, dtype=np.int64)
-        # Per-insert packet records (shared by every anchor of a packet).
-        self._rec_store: List[int] = []
-        self._rec_seq: List[Optional[int]] = []
-        self._rec_flow: List[Optional[tuple]] = []
-        self._rec_counter: List[int] = []
         self._index: Dict[int, int] = {}
-        self._next = 0          # next entry id to assign
-        self._floor = 0         # smallest valid entry id
-        self._unusable_ids: Set[int] = set()
+        self._previous: Dict[int, int] = {}
+        self._records: Dict[int, _Record] = {}
+        #: store id -> record id, for :meth:`drop_store`.
+        self._record_of: Dict[int, int] = {}
+        self._unusable: Set[int] = set()    # record ids (informed marking)
+        self._next_record = 1
+        #: Keep ``_previous``; off for caches nobody asks for history.
+        self.history = True
         self.inserts = 0
         self.replacements = 0
-        self.evictions = 0      # entries invalidated by fixed-mode wrap
-        self.compactions = 0
-        self.grows = 0
         # Candidate bitmap (epoch-stamped; bump == clear-all).
         self._bm_bits = bitmap_bits
         self._bm = np.zeros(1 << bitmap_bits, dtype=np.uint8)
         self._bm_shift = _U64(64 - bitmap_bits)
         self._bm_epoch = 1
-        # Grow-only scratch for the per-batch slot/hash arithmetic
-        # (avoids two small allocations per cached packet).  When the
-        # scratch holds the bitmap hashes of a just-probed fingerprint
-        # array, ``_scratch_tag`` is that array object: the encoder
-        # probes a packet's anchors and then inserts the same array, so
-        # the insert can reuse the hashes instead of recomputing them.
+        # Grow-only scratch for the per-batch hash arithmetic (avoids a
+        # small allocation per cached packet).  When the scratch holds
+        # the bitmap hashes of a just-probed fingerprint array,
+        # ``_scratch_tag`` is that array object: the encoder probes a
+        # packet's anchors and then inserts the same array, so the
+        # insert can reuse the hashes instead of recomputing them.
         self._scratch_u64 = np.empty(256, dtype=np.uint64)
         self._scratch_tag: Optional[np.ndarray] = None
-
-    # -- size and capacity -------------------------------------------------
 
     def __len__(self) -> int:
         return len(self._index)
 
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
     def put(self, entry: object) -> None:
-        """Insert one CacheEntry-shaped object (compatibility path)."""
+        """Insert one CacheEntry-shaped object as its own record
+        (compatibility path)."""
         offsets = np.array([entry.offset], dtype=np.int64)  # type: ignore[attr-defined]
         fps = np.array([entry.fingerprint], dtype=np.uint64)  # type: ignore[attr-defined]
         self.insert_batch(offsets, fps,
@@ -176,7 +176,7 @@ class RingFingerprintTable:
                           entry.flow,          # type: ignore[attr-defined]
                           entry.packet_counter)  # type: ignore[attr-defined]
         if not getattr(entry, "usable", True):
-            self._unusable_ids.add(self._next - 1)
+            self._unusable.add(self._next_record - 1)
 
     # -- the batched hot path ----------------------------------------------
 
@@ -186,47 +186,36 @@ class RingFingerprintTable:
                      fps_list: Optional[List[int]] = None) -> None:
         """Point every ``(offset, fingerprint)`` anchor at one packet.
 
-        One packet record plus three vectorised array fills plus one
-        C-speed bulk index update — no per-anchor Python objects.
-        Later anchors win on duplicate fingerprints within the batch,
-        matching the per-entry loop's newest-wins order.
+        One record plus C-speed bulk index and history updates — no
+        per-anchor Python.  Later anchors win on duplicate fingerprints
+        within the batch, matching the per-entry loop's newest-wins
+        order; the history keeps what each anchor displaced.
 
         ``fps_list``, when given, must be ``fps.tolist()`` — callers
         that already materialised it (the encoder probes the same
         fingerprints before inserting) pass it in to skip a second
         conversion.
         """
+        rec = self._next_record
+        self._next_record = rec + 1
+        # Batched anchors are slices of one window-wide array, which
+        # then lives until the window's last record is dropped: at most
+        # one window of anchors beyond the stored packets'.
+        self._records[rec] = (store_id, tcp_seq, flow, packet_counter,
+                              fps, memoryview(offsets))
+        self._record_of[store_id] = rec
         n = len(fps)
-        rec = len(self._rec_store)
-        self._rec_store.append(store_id)
-        self._rec_seq.append(tcp_seq)
-        self._rec_flow.append(flow)
-        self._rec_counter.append(packet_counter)
         if n == 0:
             return
-        if self._next + n - self._floor > self._capacity:
-            self._make_room(n)
-        base = self._next
-        lo = base & self._mask
-        if lo + n <= self._capacity:
-            # Contiguous run: three plain slice stores.
-            self._fps[lo:lo + n] = fps
-            self._offsets[lo:lo + n] = offsets
-            self._pkt[lo:lo + n] = rec
-        else:
-            head = self._capacity - lo
-            self._fps[lo:] = fps[:head]
-            self._fps[:n - head] = fps[head:]
-            self._offsets[lo:] = offsets[:head]
-            self._offsets[:n - head] = offsets[head:]
-            self._pkt[lo:] = rec
-            self._pkt[:n - head] = rec
-        self._next = base + n
-        index = self._index
-        before = len(index)
         if fps_list is None:
             fps_list = fps.tolist()
+        index = self._index
+        before = len(index)
+        old = list(map(index.get, fps_list)) if self.history else None
+        base = rec << KEY_SHIFT
         index.update(zip(fps_list, range(base, base + n)))
+        if old is not None:
+            self._previous.update(compress(zip(fps_list, old), old))
         self.inserts += n
         self.replacements += n - (len(index) - before)
         if self._scratch_tag is fps:
@@ -235,15 +224,44 @@ class RingFingerprintTable:
             scratch = self._scratch_u64[:n]
             self._scratch_tag = None
         else:
-            if len(self._scratch_u64) < n:
-                self._scratch_u64 = np.empty(
-                    max(n, 2 * len(self._scratch_u64)), dtype=np.uint64)
-            scratch = self._scratch_u64[:n]
-            np.multiply(fps, _FIB, out=scratch)
-            scratch >>= self._bm_shift
+            scratch = self._hash_into_scratch(fps)
         self._bm[scratch] = self._bm_epoch
         if len(index) > (len(self._bm) >> 3) and self._bm_bits < 22:
             self._rebuild_bitmap(self._bm_bits + 2)
+
+    def drop_store(self, store_id: int) -> None:
+        """Forget the packet stored under ``store_id`` (eviction hook).
+
+        Removes its record, every index entry still pointing at it
+        (with that fingerprint's history: the history only answers
+        while the current entry resolves), every history entry
+        pointing at it, and its unusable mark.
+        """
+        rec = self._record_of.pop(store_id, None)
+        if rec is None:
+            return
+        fps = self._records.pop(rec)[4].tolist()
+        base = rec << KEY_SHIFT
+        keys = range(base, base + len(fps))
+        self._unusable.discard(rec)
+        index = self._index
+        previous = self._previous
+        # Keys are unique, so each fingerprint matches at most once.
+        for fp in list(compress(fps, map(eq, map(index.get, fps), keys))):
+            del index[fp]
+            previous.pop(fp, None)
+        for fp in list(compress(fps, map(eq, map(previous.get, fps), keys))):
+            del previous[fp]
+
+    def _hash_into_scratch(self, fps: np.ndarray) -> np.ndarray:
+        n = len(fps)
+        if len(self._scratch_u64) < n:
+            self._scratch_u64 = np.empty(
+                max(n, 2 * len(self._scratch_u64)), dtype=np.uint64)
+        hashed = self._scratch_u64[:n]
+        np.multiply(fps, _FIB, out=hashed)
+        hashed >>= self._bm_shift
+        return hashed
 
     def candidates(self, fps: np.ndarray) -> np.ndarray:
         """Boolean mask: which fingerprints *may* be present.
@@ -253,15 +271,9 @@ class RingFingerprintTable:
         the current epoch), a few false positives (hash sharing plus
         stale bits from removed entries), all filtered by the index.
         """
-        n = len(fps)
-        if n == 0:
+        if len(fps) == 0:
             return _EMPTY_BOOL
-        if len(self._scratch_u64) < n:
-            self._scratch_u64 = np.empty(
-                max(n, 2 * len(self._scratch_u64)), dtype=np.uint64)
-        hashed = self._scratch_u64[:n]
-        np.multiply(fps, _FIB, out=hashed)
-        hashed >>= self._bm_shift
+        hashed = self._hash_into_scratch(fps)
         self._scratch_tag = fps
         return self._bm[hashed] == self._bm_epoch
 
@@ -271,205 +283,84 @@ class RingFingerprintTable:
         :meth:`candidates` fused with the ``nonzero`` the encoder
         always performs next — one call, one fewer intermediate.
         """
-        n = len(fps)
-        if n == 0:
+        if len(fps) == 0:
             return _EMPTY_I64
-        if len(self._scratch_u64) < n:
-            self._scratch_u64 = np.empty(
-                max(n, 2 * len(self._scratch_u64)), dtype=np.uint64)
-        hashed = self._scratch_u64[:n]
-        np.multiply(fps, _FIB, out=hashed)
-        hashed >>= self._bm_shift
+        hashed = self._hash_into_scratch(fps)
         self._scratch_tag = fps
         return (self._bm[hashed] == self._bm_epoch).nonzero()[0]
 
     # -- scalar API (FingerprintTable-compatible) --------------------------
 
     def get(self, fingerprint: int) -> Optional[RingEntry]:
-        entry_id = self._index.get(fingerprint)
-        if entry_id is None:
+        key = self._index.get(fingerprint)
+        if key is None:
             return None
-        return RingEntry(self, entry_id)
-
-    def get_id(self, fingerprint: int) -> Optional[int]:
-        """Newest entry id for a fingerprint (internal fast probes)."""
-        return self._index.get(fingerprint)
-
-    def entry(self, entry_id: int) -> RingEntry:
-        """View of a (valid) entry id."""
-        return RingEntry(self, entry_id)
-
-    def remove(self, fingerprint: int) -> None:
-        self._index.pop(fingerprint, None)
+        return RingEntry(self, key, fingerprint)
 
     def clear(self) -> None:
         self._index.clear()
-        self._rec_store.clear()
-        self._rec_seq.clear()
-        self._rec_flow.clear()
-        self._rec_counter.clear()
-        self._unusable_ids.clear()
-        self._next = 0
-        self._floor = 0
+        self._previous.clear()
+        self._records.clear()
+        self._record_of.clear()
+        self._unusable.clear()
         self._scratch_tag = None
         self._bump_bitmap_epoch()
 
     def entries(self) -> Iterator[RingEntry]:
         """Views of the *current* entry of every indexed fingerprint."""
-        for entry_id in list(self._index.values()):
-            yield RingEntry(self, entry_id)
+        for fingerprint, key in list(self._index.items()):
+            yield RingEntry(self, key, fingerprint)
 
     def previous_entry(self, fingerprint: int) -> Optional[RingEntry]:
-        """The newest older entry referencing a *different* packet.
+        """The entry the fingerprint's newest insert displaced.
 
         The decoder's one-generation history fallback: when a reference
         raced a cache update, the displaced entry (same fingerprint,
-        previous stored packet) may still resolve it.  The ring keeps
-        displaced generations in place until compaction or wrap, so no
-        per-insert displacement tracking is needed — this scans the
-        ring on demand (the fallback path is rare and checksum-gated).
+        previous stored packet) may still resolve it.  ``None`` once
+        either packet has been evicted.
         """
-        window = self._next - self._floor
-        if window == 0:
+        key = self._previous.get(fingerprint)
+        if key is None:
             return None
-        ids = np.arange(self._floor, self._next, dtype=np.int64)
-        slots = ids & self._mask
-        matches = ids[self._fps[slots] == _U64(fingerprint)]
-        if len(matches) == 0:
-            return None
-        ref_id = self._index.get(fingerprint)
-        if ref_id is None:
-            # Lazily removed (dangling store): the newest ring entry
-            # plays the reference role, exactly as the dict table kept
-            # its displaced entry after removing the current one.
-            ref_id = int(matches[-1])
-        ref_store = self._rec_store[int(self._pkt[ref_id & self._mask])]
-        pkt = self._pkt
-        rec_store = self._rec_store
-        mask = self._mask
-        for entry_id in matches[::-1].tolist():
-            if entry_id >= ref_id:
-                continue
-            if rec_store[int(pkt[entry_id & mask])] != ref_store:
-                return RingEntry(self, entry_id)
-        return None
+        return RingEntry(self, key, fingerprint)
 
-    # -- room making: wrap, compact, grow ----------------------------------
+    def check(self, stored: Set[int]) -> List[str]:
+        """Table–store consistency against the set of stored ids.
 
-    def _make_room(self, n: int) -> None:
-        if n > self._capacity and not self.autogrow:
-            raise ValueError(
-                f"batch of {n} exceeds fixed ring capacity {self._capacity}")
-        if not self.autogrow:
-            self._advance_floor(self._next + n - self._floor - self._capacity)
-            return
-        # Reachable entries are bounded by 2 per indexed fingerprint
-        # (current + history candidate); compact when that fits in half
-        # the ring, otherwise double.  Compaction must strictly shrink
-        # the window to count as progress — a compact ring that still
-        # cannot absorb the batch (e.g. a batch wider than the whole
-        # capacity) has to fall through to growth or the loop would
-        # never terminate.
-        while self._next + n - self._floor > self._capacity:
-            compacted = False
-            if 4 * len(self._index) <= self._capacity:
-                window = self._next - self._floor
-                compacted = (self._compact()
-                             and self._next - self._floor < window)
-            if not compacted:
-                self._grow()
-
-    def _advance_floor(self, count: int) -> None:
-        """Fixed-capacity wrap: invalidate the ``count`` oldest entries."""
-        if count <= 0:
-            return
-        new_floor = self._floor + count
-        index = self._index
-        fps = self._fps
-        mask = self._mask
-        unusable = self._unusable_ids
-        for entry_id in range(self._floor, new_floor):
-            fp = int(fps[entry_id & mask])
-            if index.get(fp) == entry_id:
-                del index[fp]
-                self.evictions += 1
-            unusable.discard(entry_id)
-        self._floor = new_floor
-
-    def _reachable_ids(self) -> np.ndarray:
-        """Sorted ids of every entry reachable through the public API:
-        per fingerprint, the newest entry plus the newest older entry
-        with a different stored packet (see :meth:`previous_entry`)."""
-        window = self._next - self._floor
-        if window == 0:
-            return np.empty(0, dtype=np.int64)
-        ids = np.arange(self._floor, self._next, dtype=np.int64)
-        slots = ids & self._mask
-        fps = self._fps[slots]
-        stores = np.asarray(self._rec_store, dtype=np.int64)[self._pkt[slots]]
-        order = np.lexsort((ids, fps))
-        fps_s = fps[order]
-        stores_s = stores[order]
-        ids_s = ids[order]
-        breaks = np.nonzero(fps_s[1:] != fps_s[:-1])[0]
-        group_starts = np.concatenate(
-            [np.zeros(1, dtype=np.int64), breaks + 1])
-        group_ends = np.concatenate(
-            [breaks, np.array([window - 1], dtype=np.int64)])
-        # Reference (newest) entry per group, broadcast to positions.
-        group_of = np.zeros(window, dtype=np.int64)
-        group_of[group_starts[1:]] = 1
-        group_of = np.cumsum(group_of)
-        ref_store = stores_s[group_ends][group_of]
-        positions = np.arange(window, dtype=np.int64)
-        candidate = np.where(stores_s != ref_store, positions, -1)
-        cand_pos = np.maximum.reduceat(candidate, group_starts)
-        cand_pos = cand_pos[cand_pos >= 0]
-        keep = np.concatenate([ids_s[group_ends], ids_s[cand_pos]])
-        return np.unique(keep)
-
-    def _compact(self) -> bool:
-        """Rewrite reachable entries contiguously; False when too full."""
-        kept = self._reachable_ids()
-        if 2 * len(kept) > self._capacity:
-            return False
-        old_slots = kept & self._mask
-        remap: Dict[int, int] = dict(
-            zip(kept.tolist(), range(len(kept))))
-        fps = self._fps[old_slots]
-        offsets = self._offsets[old_slots]
-        pkt = self._pkt[old_slots]
-        self._fps[:len(kept)] = fps
-        self._offsets[:len(kept)] = offsets
-        self._pkt[:len(kept)] = pkt
-        self._index = {fp: remap[entry_id]
-                       for fp, entry_id in self._index.items()}
-        self._unusable_ids = {remap[entry_id]
-                              for entry_id in self._unusable_ids
-                              if entry_id in remap}
-        self._floor = 0
-        self._next = len(kept)
-        self.compactions += 1
-        return True
-
-    def _grow(self) -> None:
-        old_mask = self._mask
-        capacity = self._capacity * 2
-        fps = np.zeros(capacity, dtype=np.uint64)
-        offsets = np.zeros(capacity, dtype=np.int64)
-        pkt = np.zeros(capacity, dtype=np.int64)
-        ids = np.arange(self._floor, self._next, dtype=np.int64)
-        old_slots = ids & old_mask
-        new_slots = ids & (capacity - 1)
-        fps[new_slots] = self._fps[old_slots]
-        offsets[new_slots] = self._offsets[old_slots]
-        pkt[new_slots] = self._pkt[old_slots]
-        self._fps = fps
-        self._offsets = offsets
-        self._pkt = pkt
-        self._capacity = capacity
-        self._mask = capacity - 1
-        self.grows += 1
+        Exactly one record per stored payload, and every index and
+        history entry resolves to one of those records' own anchors —
+        which also bounds the index by the stored packets' anchors.
+        """
+        problems: List[str] = []
+        records = self._records
+        by_store = {record[0]: rec for rec, record in records.items()}
+        if len(by_store) != len(records) or by_store != self._record_of:
+            problems.append("store-id -> record map disagrees with the "
+                            "records")
+        if set(by_store) != stored:
+            problems.append(f"{len(records)} records for {len(stored)} "
+                            f"stored payloads (records without payload: "
+                            f"{sorted(set(by_store) - stored)[:5]}, "
+                            f"payloads without record: "
+                            f"{sorted(stored - set(by_store))[:5]})")
+        anchors = set()
+        for rec, record in records.items():
+            base = rec << KEY_SHIFT
+            anchors.update(zip(record[4].tolist(),
+                               range(base, base + len(record[4]))))
+        for name, table in (("index", self._index),
+                            ("history", self._previous)):
+            dangling = [fp for fp, key in table.items()
+                        if (fp, key) not in anchors]
+            if dangling:
+                problems.append(f"{len(dangling)} {name} entries resolve "
+                                f"to no stored packet (first: "
+                                f"{dangling[0]:#x})")
+        if not self._previous.keys() <= self._index.keys():
+            problems.append("history entries without a current entry")
+        if not self._unusable <= records.keys():
+            problems.append("unusable marks on evicted records")
+        return problems
 
     # -- bitmap maintenance ------------------------------------------------
 
@@ -491,9 +382,3 @@ class RingFingerprintTable:
             hashed = fps * _FIB
             hashed >>= self._bm_shift
             self._bm[hashed] = self._bm_epoch
-
-    # -- introspection (tests, oracles) ------------------------------------
-
-    def id_window(self) -> Tuple[int, int]:
-        """(floor, next): the currently valid id range."""
-        return self._floor, self._next

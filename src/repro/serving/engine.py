@@ -202,7 +202,8 @@ class ServingOracle:
 
     Armed when ``spec.verify``: every ``interval`` simulated seconds
     both directions' caches run
-    :meth:`~repro.core.cache.ByteCache.check_invariants`; any violation
+    :meth:`~repro.core.cache.ByteCache.check_invariants` (byte budget,
+    byte accounting, table bounded by the store); any violation
     raises a structured :class:`~repro.verify.oracles.InvariantViolation`
     immediately, with the store's occupancy as context.
     """

@@ -128,6 +128,55 @@ class TestByteCache:
     def test_mark_unusable_missing_fingerprint(self):
         assert ByteCache().mark_unusable(9) is False
 
+    @pytest.mark.parametrize("table_kind", ["ring", "dict"])
+    def test_mark_unusable_on_evicted_packet_is_not_counted(self, table_kind):
+        """A mark naming an already-evicted packet binds nothing: it
+        returns False, so informed marking does not count it."""
+        from repro.core.policies.informed_marking import (
+            CONTROL_KIND_MARK, InformedMarkingEncoderPolicy)
+
+        cache = ByteCache(byte_budget=100, table_kind=table_kind)
+        cache.insert_packet(b"a" * 80, [(0, 9)])
+        cache.insert_packet(b"b" * 80, [(0, 10)])   # evicts the first
+        policy = InformedMarkingEncoderPolicy()
+        policy.on_control(CONTROL_KIND_MARK, [9, 10], cache)
+        assert policy.marks_received == 1
+        assert cache.mark_unusable(9) is False
+        assert cache.lookup(10) is None
+        assert cache.check_invariants() == []
+
+    @pytest.mark.parametrize("table_kind", ["ring", "dict"])
+    def test_encoder_cache_drops_history(self, table_kind):
+        """Only decoders read the history: an encoder's cache stops
+        keeping it, and its current entries are unaffected."""
+        from repro.core.encoder import ByteCachingEncoder
+        from repro.core.fingerprint import FingerprintScheme
+        from repro.core.policies import NaivePolicy
+
+        cache = ByteCache(table_kind=table_kind)
+        cache.insert_packet(b"old" * 30, [(0, 9)])
+        cache.insert_packet(b"new" * 30, [(0, 9)])
+        assert cache.lookup_previous(9)[1] == b"old" * 30
+        ByteCachingEncoder(FingerprintScheme(), cache, NaivePolicy())
+        assert cache.lookup_previous(9) is None
+        cache.insert_packet(b"newer" * 30, [(0, 9)])
+        assert cache.lookup_previous(9) is None
+        assert cache.lookup(9)[1] == b"newer" * 30
+        assert cache.check_invariants() == []
+
+    def test_lookup_previous_none_once_current_payload_evicted(self):
+        """LRU can evict the current entry's payload before the one it
+        displaced; history then answers None alongside lookup (the
+        former ring table still returned the displaced generation)."""
+        cache = ByteCache(byte_budget=250, eviction="lru")
+        cache.insert_packet(b"a" * 100, [(0, 9), (4, 11)])
+        cache.insert_packet(b"b" * 100, [(0, 9)])   # displaces a for 9
+        assert cache.lookup(11) is not None         # touch a
+        cache.insert_packet(b"c" * 100, [(0, 12)])  # evicts b, keeps a
+        assert cache.lookup(9) is None
+        assert cache.lookup_previous(9) is None
+        assert cache.lookup(11)[1] == b"a" * 100
+
     def test_unusable_entry_revives_on_replacement(self):
         cache = ByteCache()
         cache.insert_packet(b"one" * 20, [(0, 9)])
@@ -170,7 +219,7 @@ class TestByteCache:
         cache = ByteCache(byte_budget=1000, max_packets=4)
         for i in range(200):
             cache.insert_packet(b"x" * 100, [(0, i)], external_id=i)
-        assert len(cache._external_ids) <= 4 * 4 + 64
+        assert len(cache._external_ids) == len(cache.store) == 4
 
 
 # Value-selection anchors have their low zero_bits (4) bits zero.
@@ -248,11 +297,11 @@ class TestServingCache:
             cache.insert_packet(bytes([i]) * 50, [(0, fp)])
         before = len(cache.store)
         assert cache.evict_fraction(1.0) == before
-        # Dangling table entries are invalidated lazily on lookup.
-        assert len(cache.table) == len(FPS)
+        # The eviction hook invalidates every table entry eagerly.
+        assert len(cache.table) == 0
         for fp in FPS:
             assert cache.lookup(fp) is None
-        assert len(cache.table) == 0
+        assert cache.check_invariants() == []
         with pytest.raises(ValueError):
             cache.evict_fraction(1.5)
 
@@ -266,7 +315,9 @@ class TestServingCache:
         cache.store._data[10_000] = b"y" * 900
         cache.store._bytes += 900
         problems = cache.check_invariants()
-        assert len(problems) == 1 and "exceeds budget" in problems[0]
+        # The planted payload also has no table record.
+        assert len(problems) == 2 and "exceeds budget" in problems[0]
+        assert "payloads without record: [10000]" in problems[1]
         cache.store._bytes -= 1
         problems = cache.check_invariants()
         assert any("accounted 1199 bytes but stores 1200" in p

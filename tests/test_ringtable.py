@@ -1,15 +1,14 @@
-"""Ring-buffer fingerprint table edge cases.
+"""Record-table (repro.core.ringtable) edge cases.
 
-The contiguous table (repro.core.ringtable) must match the reference
+The per-packet record table must match the reference
 dict table observable-for-observable; these tests pin the corners the
 differential runner's whole-pipeline comparison can miss: bitmap hash
-collisions, fixed-capacity wrap evicting live entries, the epoch stamp
-across flushes, and a property-level parity sweep against the dict
-table through the ByteCache front door.
+collisions, the epoch stamp across flushes, the table staying bounded
+by the packet store under every eviction path, and property-level
+parity sweeps against the dict table through the ByteCache front door.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.cache import ByteCache, CacheEntry, FingerprintTable
@@ -36,7 +35,7 @@ def _colliding_fingerprints(bits):
 
 class TestCandidateBitmap:
     def test_hash_collision_is_a_false_positive_only(self):
-        table = RingFingerprintTable(capacity=64, bitmap_bits=8)
+        table = RingFingerprintTable(bitmap_bits=8)
         present, absent = _colliding_fingerprints(8)
         _insert(table, [present])
         mask = table.candidates(np.array([present, absent],
@@ -48,14 +47,14 @@ class TestCandidateBitmap:
         assert table.get(absent) is None
 
     def test_no_false_negatives(self):
-        table = RingFingerprintTable(capacity=256, bitmap_bits=10)
+        table = RingFingerprintTable(bitmap_bits=10)
         fingerprints = list(range(1000, 1100))
         _insert(table, fingerprints)
         mask = table.candidates(np.array(fingerprints, dtype=np.uint64))
         assert mask.all()
 
     def test_candidate_indices_matches_candidates(self):
-        table = RingFingerprintTable(capacity=64)
+        table = RingFingerprintTable()
         _insert(table, [7, 11, 13])
         probe = np.array([5, 7, 9, 11, 13, 15], dtype=np.uint64)
         mask = table.candidates(probe)
@@ -66,8 +65,8 @@ class TestCandidateBitmap:
         # Probing then inserting the SAME array must stamp the same
         # bitmap slots as a cold insert (the tag shortcut skips the
         # hash recompute, not the stamping).
-        tagged = RingFingerprintTable(capacity=64)
-        cold = RingFingerprintTable(capacity=64)
+        tagged = RingFingerprintTable()
+        cold = RingFingerprintTable()
         fps = np.array([101, 202, 303], dtype=np.uint64)
         offsets = np.arange(3, dtype=np.int64)
         tagged.candidates(fps)          # leaves hashes + tag in scratch
@@ -78,14 +77,14 @@ class TestCandidateBitmap:
         assert tagged._scratch_tag is None
 
     def test_epoch_bump_clears_without_touching_memory(self):
-        table = RingFingerprintTable(capacity=64)
+        table = RingFingerprintTable()
         _insert(table, [42])
         assert table.candidates(np.array([42], dtype=np.uint64))[0]
         table.clear()
         assert not table.candidates(np.array([42], dtype=np.uint64))[0]
 
     def test_epoch_wraps_at_256_flushes(self):
-        table = RingFingerprintTable(capacity=64)
+        table = RingFingerprintTable()
         for _ in range(300):    # crosses the uint8 wrap at least once
             _insert(table, [42])
             assert table.candidates(np.array([42], dtype=np.uint64))[0]
@@ -95,70 +94,91 @@ class TestCandidateBitmap:
             assert table.get(42) is None
 
 
-class TestFixedModeWrap:
-    def test_wrap_evicts_oldest_live_entries(self):
-        table = RingFingerprintTable(capacity=4, autogrow=False)
-        _insert(table, [1, 2], store_id=0)
-        _insert(table, [3, 4], store_id=1)
-        assert len(table) == 4
-        # The ring is full: two more anchors advance the floor past the
-        # two oldest entries, evicting them even though still current.
-        _insert(table, [5, 6], store_id=2)
-        assert table.get(1) is None
-        assert table.get(2) is None
-        assert table.get(5) is not None
-        assert table.evictions == 2
-        floor, nxt = table.id_window()
-        assert nxt - floor == 4
-
-    def test_wrap_does_not_evict_replaced_fingerprints_twice(self):
-        table = RingFingerprintTable(capacity=4, autogrow=False)
-        _insert(table, [1, 2], store_id=0)
-        _insert(table, [1, 2], store_id=1)   # replaces both
-        _insert(table, [3, 4], store_id=2)   # wraps past the stale pair
-        # The stale first-generation entries were not the index's
-        # current ids, so nothing live was evicted.
-        assert table.evictions == 0
-        assert table.get(1).store_id == 1
-        assert table.get(3).store_id == 2
-
-    def test_wrap_drops_unusable_marks_of_evicted_ids(self):
-        table = RingFingerprintTable(capacity=4, autogrow=False)
-        _insert(table, [1, 2], store_id=0)
-        entry = table.get(1)
-        entry.usable = False
-        _insert(table, [3, 4], store_id=1)
-        _insert(table, [5, 6], store_id=2)   # evicts ids 0 and 1
-        assert not table._unusable_ids
-        # A fresh insert reusing the wrapped slots starts usable.
-        _insert(table, [7, 8], store_id=3)
-        assert table.get(7).usable
-
-    def test_batch_larger_than_fixed_capacity_rejected(self):
-        table = RingFingerprintTable(capacity=4, autogrow=False)
-        with pytest.raises(ValueError):
-            _insert(table, [1, 2, 3, 4, 5])
+def _assert_bounded(cache):
+    """The table holds one record per stored payload and no more index
+    entries than those payloads have anchors."""
+    table = cache.table
+    assert len(table._records) == len(cache.store)
+    anchors = sum(len(record[4]) for record in table._records.values())
+    assert len(table) <= anchors
+    assert cache.check_invariants() == []
 
 
-class TestAutogrow:
-    def test_compaction_preserves_current_and_previous(self):
-        table = RingFingerprintTable(capacity=8)
-        # Two indexed fingerprints replaced over and over: room-making
-        # picks compaction (4 * index size <= capacity) over growth.
-        for store_id in range(5):
-            _insert(table, [1, 2], store_id=store_id)
-        assert table.compactions >= 1
-        assert table.grows == 0
-        assert table.get(1).store_id == 4
-        previous = table.previous_entry(1)
-        assert previous is not None and previous.store_id == 3
+def _fill(cache, count, start=0, size=100):
+    """``count`` distinct payloads, three anchors each; consecutive
+    payloads share one fingerprint so entries also get replaced."""
+    sids = []
+    for i in range(start, start + count):
+        anchors = [(0, 1000 + i), (8, 5000 + i), (16, 9000 + i // 2)]
+        sids.append(cache.insert_packet(bytes([i % 256]) * size, anchors,
+                                        external_id=i))
+        _assert_bounded(cache)
+    return sids
 
-    def test_growth_keeps_all_ids_valid(self):
-        table = RingFingerprintTable(capacity=4)
-        _insert(table, list(range(100, 108)), store_id=0)
-        assert table.grows >= 1
-        for fingerprint in range(100, 108):
-            assert table.get(fingerprint) is not None
+
+class TestStoreBoundedTable:
+    def test_fifo_budget_eviction_drops_entries(self):
+        cache = ByteCache(1_000)
+        _fill(cache, 40)
+        assert len(cache.store) == 10
+        assert cache.table.get(1000) is None       # oldest payload gone
+        assert cache.lookup(1039) is not None
+        assert len(cache._external_ids) == len(cache.store)
+
+    def test_lru_budget_keeps_touched_payload_entries(self):
+        cache = ByteCache(1_000, eviction="lru")
+        _fill(cache, 10)
+        for i in range(10, 30):
+            assert cache.lookup(1000) is not None   # keep payload 0 hot
+            _fill(cache, 1, start=i)
+        assert cache.lookup(1000) is not None
+        assert cache.table.get(1001) is None
+
+    def test_evict_fraction_drops_entries(self):
+        cache = ByteCache(1 << 20)
+        _fill(cache, 20)
+        assert cache.evict_fraction(0.5) == 10
+        _assert_bounded(cache)
+        assert cache.table.get(1009) is None
+        assert cache.lookup(1010) is not None
+
+    def test_set_byte_budget_storms(self):
+        cache = ByteCache(1 << 20, eviction="lru")
+        for round_ in range(5):
+            _fill(cache, 12, start=12 * round_)
+            assert cache.set_byte_budget(300) > 0
+            _assert_bounded(cache)
+            assert cache.set_byte_budget(1 << 20) == 0
+        assert len(cache.store) == 3
+
+    def test_flush_empties_table(self):
+        cache = ByteCache(1 << 20)
+        _fill(cache, 8)
+        cache.flush()
+        _assert_bounded(cache)
+        assert len(cache.table) == 0
+        assert not cache.table._previous
+
+    def test_payload_larger_than_budget_leaves_no_entries(self):
+        cache = ByteCache(1_000)
+        _fill(cache, 2)
+        sid = cache.insert_packet(b"z" * 2_000, [(0, 1000), (8, 7)],
+                                  external_id=99)
+        assert sid not in cache.store
+        _assert_bounded(cache)
+        # The oversized payload displaced fingerprint 1000, exactly as
+        # an insert that is evicted at once would.
+        assert cache.lookup(1000) is None
+
+    def test_check_reports_dangling_record(self):
+        cache = ByteCache(1 << 20)
+        _fill(cache, 2)
+        cache.table.insert_batch(np.zeros(1, dtype=np.int64),
+                                 np.array([77], dtype=np.uint64),
+                                 10_000, None, None, 0)
+        problems = cache.check_invariants()
+        assert len(problems) == 1
+        assert "records without payload: [10000]" in problems[0]
 
 
 def _entry(fingerprint, store_id, offset, counter):
@@ -173,7 +193,7 @@ def _entry(fingerprint, store_id, offset, counter):
     min_size=1, max_size=60))
 def test_ring_matches_dict_table_property(ops):
     """Same insert sequence → same observable state as the dict table."""
-    ring = RingFingerprintTable(capacity=8)
+    ring = RingFingerprintTable()
     reference = FingerprintTable()
     for counter, (fingerprint, store_id, offset) in enumerate(ops):
         ring.put(_entry(fingerprint, store_id, offset, counter))
@@ -294,3 +314,63 @@ def test_cache_interleaving_parity_ring_vs_dict(ops, admission):
             _hit_view(dict_cache.lookup(fp))
     assert ring_cache.check_invariants() == []
     assert dict_cache.check_invariants() == []
+
+
+def _old_ring_previous(log, cache, fingerprint):
+    """The history answer of the former ring table, from the insert log:
+    the newest older entry whose packet differs from the current one's,
+    if that packet is still stored."""
+    entries = log.get(fingerprint, [])
+    current_sid = entries[-1][0]
+    for sid, offset, payload in reversed(entries):
+        if sid != current_sid:
+            return (payload, offset) if sid in cache.store else None
+    return None
+
+
+_history_op_st = st.one_of(
+    st.tuples(st.just("insert"), st.integers(20, 400),
+              st.lists(st.tuples(st.integers(0, 16), _fp_st),
+                       min_size=1, max_size=4)),
+    st.tuples(st.just("lookup"), _fp_st),
+    st.tuples(st.just("evict"), st.sampled_from([0.25, 0.5, 1.0])),
+    st.tuples(st.just("budget"), st.sampled_from([300, 800, 2_000])),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ops=st.lists(_history_op_st, max_size=50),
+       eviction=st.sampled_from(["fifo", "lru"]),
+       table_kind=st.sampled_from(["ring", "dict"]))
+def test_lookup_previous_matches_old_ring_when_lookup_resolves(
+        ops, eviction, table_kind):
+    """Whenever ``lookup`` resolves (the only case the decoder's history
+    fallback reaches), ``lookup_previous`` answers what the former ring
+    table did, under every eviction path; once the current entry's
+    payload is evicted, both history and lookup answer ``None``."""
+    cache = ByteCache(2_000, eviction=eviction, table_kind=table_kind)
+    log = {}
+    for index, op in enumerate(ops):
+        if op[0] == "insert":
+            _, size, anchors = op
+            payload = bytes([index % 256]) * size
+            sid = cache.insert_packet(payload, anchors)
+            for offset, fingerprint in anchors:
+                log.setdefault(fingerprint, []).append((sid, offset,
+                                                        payload))
+        elif op[0] == "lookup":
+            cache.lookup(op[1])
+        elif op[0] == "evict":
+            cache.evict_fraction(op[1])
+        else:
+            cache.set_byte_budget(op[1])
+        assert cache.check_invariants() == []
+        for fingerprint in log:
+            hit = cache.lookup(fingerprint)
+            previous = cache.lookup_previous(fingerprint)
+            if hit is None:
+                assert previous is None
+                continue
+            view = (None if previous is None
+                    else (previous[1], previous[0].offset))
+            assert view == _old_ring_previous(log, cache, fingerprint)

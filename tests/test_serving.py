@@ -129,9 +129,12 @@ def test_serving_golden_run():
 
     Any cache/encoder/session change that shifts serving results must
     update these constants consciously, with the shift explained in
-    the PR — that is the point of the test.
+    the PR — that is the point of the test.  The serving oracle runs
+    alongside (it does not change results).
     """
-    report = run_serving(ServingSpec(users=50, n_contents=200, seed=7))
+    report = run_serving(ServingSpec(users=50, n_contents=200, seed=7,
+                                     verify=True))
+    assert report["oracle_checks"] > 0
     assert report["requests"]["total"] == 85
     assert report["requests"]["completed"] == 85
     assert report["requests"]["timeouts"] == 0
@@ -148,7 +151,8 @@ def test_serving_golden_run():
 def test_serving_golden_run_under_memory_pressure():
     """Same run with a 64 KB budget: evictions happen, hits survive."""
     report = run_serving(ServingSpec(users=50, n_contents=200, seed=7,
-                                     cache_bytes=64 * 1024))
+                                     cache_bytes=64 * 1024, verify=True))
+    assert report["oracle_checks"] > 0
     assert report["requests"]["completed"] == 85
     assert report["cache"]["evictions"] == 672
     assert report["cache"]["flushes"] == 5
@@ -242,9 +246,11 @@ def test_serving_soak_10k_requests_with_invariants():
     """10k requests of churning users through a tight shared cache.
 
     ``verify=True`` arms per-flow content checks and the serving
-    oracle (byte budget respected, byte accounting consistent) every
-    simulated second — any violation raises InvariantViolation and
-    fails the run.  The pool
+    oracle (byte budget respected, byte accounting consistent, and the
+    fingerprint table bounded by the store: one record per stored
+    payload, every index and history entry resolving to one, so no
+    more index entries than stored anchors) every simulated second —
+    any violation raises InvariantViolation and fails the run.  The pool
     bound is the leak check: without connection release the stacks
     would peak at exactly 2 table entries per request (20k); staying
     well under that proves churned flows are actually pruned.
